@@ -26,19 +26,18 @@ from .conformance import (
 from .corpus import (
     CorpusError,
     DocumentFormat,
-    candidate_to_dict,
     extract_candidates,
     ingest,
     load_keyword_file,
+    save_candidates,
 )
-from .dsl import DslError, parse_spec
-from .eval import EvalError, evaluate, render_report
+from .dsl import DslError, load_spec_file, parse_spec, save_spec_file
+from .eval import EvalError, evaluate, infer, render_report
 from .model import (
     ModelConfig,
     ModelError,
     TrainConfig,
     load_checkpoint,
-    predicted_label,
     save_checkpoint,
     tokenize,
     train,
@@ -54,14 +53,7 @@ from .synthdata import (
     save_dataset,
     save_manifest,
 )
-from .tagger import (
-    NonParsingOutput,
-    TagError,
-    UnknownTagError,
-    detag,
-    load_lexicons,
-    tag_text,
-)
+from .tagger import TagError, load_lexicons, tag_text
 
 log = logging.getLogger("specsyn")
 
@@ -98,25 +90,25 @@ def _write_effective_config(command: str, args: argparse.Namespace, anchor) -> N
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ingest(args) -> int:
+def _read_candidates(args):
+    """Keywords, sentences and candidates of the document options."""
     keywords = load_keyword_file(args.keywords)
     document = Path(args.input).read_bytes()
     sentences = ingest(document, DocumentFormat(args.format))
     candidates = extract_candidates(
         sentences, keywords, window=args.window, doc_id=Path(args.input).name
     )
-    _write_jsonl(args.out, (candidate_to_dict(c) for c in candidates))
+    return keywords, sentences, candidates
+
+
+def _cmd_ingest(args) -> int:
+    _, sentences, candidates = _read_candidates(args)
+    save_candidates(args.out, candidates)
     _write_effective_config("ingest", args, args.out)
     log.info("%d sentences -> %d candidates -> %s", len(sentences), len(candidates), args.out)
     return 0
@@ -174,13 +166,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     model = load_checkpoint(args.model)
-    keywords = load_keyword_file(args.keywords)
+    keywords, _, candidates = _read_candidates(args)
     lexicons = load_lexicons()
-    document = Path(args.input).read_bytes()
-    sentences = ingest(document, DocumentFormat(args.format))
-    candidates = extract_candidates(
-        sentences, keywords, window=args.window, doc_id=Path(args.input).name
-    )
 
     budget = model.config.max_len - 1  # one slot reserved for CLS
     specs: list[str] = []
@@ -189,28 +176,29 @@ def _cmd_synthesize(args) -> int:
     for candidate in candidates:
         tagged = tag_text(candidate.text, keywords, lexicons)
         tokens = tokenize(tagged.text)
+        tags = tagged.tags
         if len(tokens) > budget:
             log.warning(
                 "truncating %d-token candidate from %s to %d tokens",
                 len(tokens), candidate.source, budget,
             )
             tokens = tokens[:budget]
-        h = model.encode_text(" ".join(tokens))
-        if not predicted_label(model.detect(h)):
+            # the decoder may only emit tags whose literal it was shown
+            tags = {tag_id: surface for tag_id, surface in tags.items()
+                    if f"<{tag_id}>" in tokens}
+        result = infer(model, " ".join(tokens), tags)
+        if not result.flagged:
             continue
         detections += 1
-        generated = model.generate(h, tagged.tags)
-        try:
-            specs.append(detag(generated.tokens, tagged.tags))
-        except (NonParsingOutput, UnknownTagError) as exc:
-            failures.append(
-                {"source": candidate.source, "text": candidate.text, "reason": str(exc)}
-            )
-            log.warning("dropping non-parsing output for %s: %s", candidate.source, exc)
+        if result.rule is not None:
+            specs.append(result.rule)
+            continue
+        failures.append(
+            {"source": candidate.source, "text": candidate.text, "reason": result.failure}
+        )
+        log.warning("dropping non-parsing output for %s: %s", candidate.source, result.failure)
 
-    Path(args.out).write_text(
-        "".join(line + "\n" for line in specs), encoding="utf-8"
-    )
+    save_spec_file(args.out, map(parse_spec, specs))
     if args.report:
         report = {
             "candidates": len(candidates),
@@ -242,16 +230,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    specs = []
-    with open(args.specs, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                specs.append(parse_spec(text))
-            except DslError as exc:
-                raise DslError(f"{args.specs}:{number}: {exc}") from exc
+    specs = load_spec_file(args.specs)
     config = parse_config(Path(args.config).read_bytes(), ConfigFormat(args.format))
     for bad in config.malformed:
         log.warning("%s:%d: skipped malformed line: %s", args.config, bad.line, bad.reason)
@@ -278,14 +257,21 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("ingest", help="extract candidate sentences from a document")
-    p.add_argument("--input", required=True, help="document to read")
-    p.add_argument(
+    # options shared by several subcommands
+    checkpoint = argparse.ArgumentParser(add_help=False)
+    checkpoint.add_argument("--model", required=True, help="checkpoint to load")
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("--input", required=True, help="document to read")
+    document.add_argument(
         "--format", default="plain", choices=[f.value for f in DocumentFormat],
         help="document format (default: plain)",
     )
-    p.add_argument("--keywords", required=True, help="keyword file, one per line")
-    p.add_argument("--window", type=int, default=3, help="sentences per compound span")
+    document.add_argument("--keywords", required=True, help="keyword file, one per line")
+    document.add_argument("--window", type=int, default=3, help="sentences per compound span")
+
+    p = sub.add_parser(
+        "ingest", parents=[document], help="extract candidate sentences from a document"
+    )
     p.add_argument("--out", required=True, help="candidate JSONL to write")
     p.set_defaults(func=_cmd_ingest)
 
@@ -314,21 +300,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--log", help="per-epoch loss CSV to write")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("synthesize", help="emit specs for a document with a trained model")
-    p.add_argument("--model", required=True, help="checkpoint to load")
-    p.add_argument("--input", required=True, help="document to read")
-    p.add_argument(
-        "--format", default="plain", choices=[f.value for f in DocumentFormat],
-        help="document format (default: plain)",
+    p = sub.add_parser(
+        "synthesize", parents=[checkpoint, document],
+        help="emit specs for a document with a trained model",
     )
-    p.add_argument("--keywords", required=True, help="keyword file, one per line")
-    p.add_argument("--window", type=int, default=3, help="sentences per compound span")
     p.add_argument("--out", required=True, help="spec file to write, one rule per line")
     p.add_argument("--report", help="synthesis summary JSON to write")
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("eval", help="score a model against a labeled dataset")
-    p.add_argument("--model", required=True, help="checkpoint to load")
+    p = sub.add_parser(
+        "eval", parents=[checkpoint], help="score a model against a labeled dataset"
+    )
     p.add_argument("--data", required=True, help="labeled JSONL")
     p.add_argument("--report", required=True, help="metrics JSON to write")
     p.set_defaults(func=_cmd_eval)

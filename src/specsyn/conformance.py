@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from .dsl import (
+    KEYWORD_RE,
     Boolean,
     Connective,
     FormatClass,
@@ -30,7 +31,7 @@ from .dsl import (
     Specification,
     Text,
 )
-from .tagger import Lexicons, bool_polarity, load_lexicons
+from .tagger import NUMBER_RE, Lexicons, bool_polarity, load_lexicons
 
 
 class ConfigError(Exception):
@@ -41,8 +42,6 @@ class DecodeError(ConfigError):
     """Configuration bytes are not valid UTF-8."""
 
 
-_KEY_RE = re.compile(r"-{0,2}[A-Za-z_][A-Za-z0-9_.\-]*")
-_MAGNITUDE_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
 _UNIT_TAIL_RE = re.compile(r"\s*(?:[A-Za-z_][A-Za-z0-9_]*|%)?\s*$")
 
 
@@ -134,7 +133,7 @@ def parse_config(source, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> Confi
             parts = line.split(None, 1)
             key = parts[0]
             value = parts[1].strip() if len(parts) > 1 else ""
-        if not _KEY_RE.fullmatch(key):
+        if not KEYWORD_RE.fullmatch(key):
             config.malformed.append(MalformedLine(number, raw, "bad key"))
             continue
         full = f"{section}.{key}" if section else key
@@ -151,7 +150,7 @@ def coerce_number(raw: str) -> float | None:
     Thousands separators are stripped and a trailing unit token is
     tolerated but otherwise ignored ("512 MB" -> 512.0).
     """
-    m = _MAGNITUDE_RE.match(raw.strip())
+    m = NUMBER_RE.match(raw.strip())
     if m is None or not _UNIT_TAIL_RE.fullmatch(raw.strip(), m.end()):
         return None
     return float(m.group().replace(",", ""))

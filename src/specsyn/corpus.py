@@ -352,7 +352,7 @@ def candidate_from_dict(record: dict) -> CandidateText:
 def save_candidates(path, candidates: Iterable[CandidateText]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for candidate in candidates:
-            fh.write(json.dumps(candidate_to_dict(candidate)) + "\n")
+            fh.write(json.dumps(candidate_to_dict(candidate), ensure_ascii=False) + "\n")
 
 
 def load_candidates(path) -> list:

@@ -56,10 +56,10 @@ class ValidationError(DslError):
 
 
 class SpecFileError(DslError):
-    """A spec file line failed to parse; carries the line number."""
+    """A spec file line failed to parse; names the file, carries the line number."""
 
-    def __init__(self, lineno, cause):
-        super().__init__(f"line {lineno}: {cause}")
+    def __init__(self, path, lineno, cause):
+        super().__init__(f"{path}:{lineno}: {cause}")
         self.lineno = lineno
 
 
@@ -97,7 +97,9 @@ class Category(enum.Enum):
     GENERIC = "generic"
 
 
-_KEYWORD_RE = re.compile(r"-{0,2}[A-Za-z_][A-Za-z0-9_.\-]*")
+# configuration keywords, in rules and as config-file keys alike
+_KEYWORD = r"-{0,2}[A-Za-z_][A-Za-z0-9_.\-]*"
+KEYWORD_RE = re.compile(_KEYWORD)
 _UNIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|%")
 _RESERVED = frozenset(
     {"and", "or", "in", "true", "false", "use", "with", "prefer", "format", "recommend"}
@@ -108,7 +110,7 @@ _KEYWORD_FORBIDDEN = frozenset({"and", "or", "in", "true", "false"})
 
 
 def _check_keyword_token(name: str, what: str) -> None:
-    if not _KEYWORD_RE.fullmatch(name):
+    if not KEYWORD_RE.fullmatch(name):
         raise ValidationError(f"{what} {name!r} is not a valid keyword token")
     if name in _KEYWORD_FORBIDDEN:
         raise ValidationError(f"{what} {name!r} collides with a reserved word")
@@ -266,12 +268,12 @@ def single(rule: Rule) -> Specification:
 # tokenizer
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<ident>-{0,2}[A-Za-z_][A-Za-z0-9_.\-]*)
+      | (?P<ident>{_KEYWORD})
       | (?P<string>"[^"\n]*")
       | (?P<op>==|!=|>|<)
-      | (?P<punct>[()\[\]{},%])
+      | (?P<punct>[()\[\]{{}},%])
     """,
     re.VERBOSE,
 )
@@ -516,21 +518,18 @@ def infer_category(spec: Specification) -> Category:
 # ---------------------------------------------------------------------------
 # spec files: one specification per line, '#' comments, blanks ignored
 
-def iter_spec_lines(text: str):
-    """Yield (line number, specification) pairs from spec-file text."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield lineno, parse_spec(line)
-        except DslError as exc:
-            raise SpecFileError(lineno, exc) from exc
-
-
 def load_spec_file(path) -> list[Specification]:
+    specs = []
     with open(path, encoding="utf-8") as fh:
-        return [spec for _, spec in iter_spec_lines(fh.read())]
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                specs.append(parse_spec(line))
+            except DslError as exc:
+                raise SpecFileError(path, lineno, exc) from exc
+    return specs
 
 
 def save_spec_file(path, specs: Iterable[Specification]) -> None:

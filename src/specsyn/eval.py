@@ -5,11 +5,14 @@ counts. Generation accuracy is exact match conditioned on correct
 detection: only gold-positive samples the detector flagged count toward
 the denominator, and a match means both sides parse to the same
 specification (formatting differences never penalize the generator).
+
+`infer` is the detect-generate-detag path itself; `synthesize` calls it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import dsl
 from .corpus import ExtractionType
@@ -88,12 +91,24 @@ def score_detection(predictions, labels) -> tuple[ConfusionCounts, Metrics]:
     return counts, metrics_from_counts(counts)
 
 
-def _parses_equal(predicted: str, gold: str) -> bool:
-    gold_spec = dsl.parse_spec(gold)
+def _generation_match(predicted: str | None, gold: str | None) -> bool | None:
+    """Whether the prediction parses to the gold spec; None when either
+    side is absent. A prediction that fails to parse is a mismatch."""
+    if predicted is None or gold is None:
+        return None
+    try:
+        gold_spec = dsl.parse_spec(gold)
+    except dsl.DslError as exc:
+        raise EvalError(f"gold spec does not parse: {gold!r}") from exc
     try:
         return dsl.parse_spec(predicted) == gold_spec
     except dsl.DslError:
         return False
+
+
+def _exact_match_rate(matches) -> float:
+    scored = [match for match in matches if match is not None]
+    return sum(scored) / len(scored) if scored else 0.0
 
 
 def score_generation(predicted, gold) -> float:
@@ -107,17 +122,7 @@ def score_generation(predicted, gold) -> float:
     gold = list(gold)
     if len(predicted) != len(gold):
         raise LengthMismatch(f"{len(predicted)} predictions vs {len(gold)} golds")
-    hits = 0
-    total = 0
-    for pred, want in zip(predicted, gold):
-        if want is None or pred is None:
-            continue
-        total += 1
-        try:
-            hits += _parses_equal(pred, want)
-        except dsl.DslError as exc:
-            raise EvalError(f"gold spec does not parse: {want!r}") from exc
-    return hits / total if total else 0.0
+    return _exact_match_rate(map(_generation_match, predicted, gold))
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,15 @@ class SampleOutcome:
     category: Category | None
     expected: str | None
     got: str | None
+
+    @cached_property
+    def match(self) -> bool | None:
+        """Generation exact match, parsed once; None outside its denominator
+        (not flagged, or no gold spec)."""
+        return _generation_match(
+            self.got if self.flagged else None,
+            self.expected if self.label else None,
+        )
 
 
 def breakdown(outcomes, key: str) -> dict[str, dict]:
@@ -161,10 +175,7 @@ def breakdown(outcomes, key: str) -> dict[str, dict]:
             "f1": metrics.f1,
         }
         if key == "type":
-            entry["generation_em"] = score_generation(
-                [o.got if o.flagged else None for o in members],
-                [o.expected if o.label else None for o in members],
-            )
+            entry["generation_em"] = _exact_match_rate(o.match for o in members)
         section[name] = entry
     return section
 
@@ -206,17 +217,27 @@ class EvaluationReport:
         }
 
 
-def _predict(model, sample) -> tuple[bool, str | None]:
-    """Run the two-step pipeline on one sample: detect, then generate."""
-    h = model.encode_text(sample.text)
+@dataclass(frozen=True)
+class Inference:
+    """What the two-step pipeline made of one tagged text."""
+
+    flagged: bool
+    tokens: tuple = ()  # generated tokens; empty unless flagged
+    rule: str | None = None  # canonical spec text when detag succeeded
+    failure: str | None = None  # why detag failed
+
+
+def infer(model, text: str, tags: dict) -> Inference:
+    """Detect, then generate and detag: the one inference path that `eval`
+    and `synthesize` share. `text` must fit the model's max_len."""
+    h = model.encode_text(text)
     if not predicted_label(model.detect(h)):
-        return False, None
-    result = model.generate(h, sample.tags)
+        return Inference(False)
+    tokens = model.generate(h, tags).tokens
     try:
-        return True, detag(result.tokens, sample.tags)
-    except (NonParsingOutput, UnknownTagError):
-        # flagged but not reconstructable; kept as a raw mismatch
-        return True, " ".join(result.tokens)
+        return Inference(True, tokens, rule=detag(tokens, tags))
+    except (NonParsingOutput, UnknownTagError) as exc:
+        return Inference(True, tokens, failure=str(exc))
 
 
 def gold_spec(sample) -> str | None:
@@ -229,11 +250,15 @@ def gold_spec(sample) -> str | None:
 def collect_outcomes(model, samples) -> list[SampleOutcome]:
     outcomes = []
     for i, sample in enumerate(samples):
-        flagged, got = _predict(model, sample)
+        result = infer(model, sample.text, sample.tags)
+        got = result.rule
+        if result.failure is not None:
+            # flagged but not reconstructable; kept as a raw mismatch
+            got = " ".join(result.tokens)
         outcomes.append(SampleOutcome(
             index=i,
             label=bool(sample.label),
-            flagged=flagged,
+            flagged=result.flagged,
             type=sample.type,
             category=sample.category,
             expected=gold_spec(sample),
@@ -243,11 +268,7 @@ def collect_outcomes(model, samples) -> list[SampleOutcome]:
 
 
 def _is_error(outcome: SampleOutcome) -> bool:
-    if outcome.flagged != outcome.label:
-        return True
-    if not outcome.flagged:
-        return False
-    return not _parses_equal(outcome.got, outcome.expected)
+    return outcome.flagged != outcome.label or (outcome.flagged and not outcome.match)
 
 
 def report_from_outcomes(outcomes) -> EvaluationReport:
@@ -256,10 +277,7 @@ def report_from_outcomes(outcomes) -> EvaluationReport:
     counts, metrics = score_detection(
         [o.flagged for o in outcomes], [o.label for o in outcomes]
     )
-    em = score_generation(
-        [o.got if o.flagged else None for o in outcomes],
-        [o.expected if o.label else None for o in outcomes],
-    )
+    em = _exact_match_rate(o.match for o in outcomes)
     errors = [
         {"id": o.index, "expected": o.expected, "got": o.got}
         for o in outcomes

@@ -5,8 +5,9 @@ of each tag class, and everything after that is learned from the training
 split in sorted order so vocabulary construction is deterministic.
 """
 
-import re
 from collections.abc import Iterable, Sequence
+
+from ..tagger import TAG_TOKEN_RE
 
 
 class ModelError(Exception):
@@ -18,9 +19,6 @@ PAD_ID, UNK_ID, CLS_ID, BOS_ID, EOS_ID = 0, 1, 2, 3, 4
 
 TAG_CLASSES = ("keyword", "num", "bool", "unit", "format")
 TAG_SLOTS = 8
-
-_TAG_TOKEN_RE = re.compile(r"<(?:keyword|num|bool|unit|format)\d+>")
-_TAG_SPLIT_RE = re.compile(r"(<(?:keyword|num|bool|unit|format)\d+>)")
 
 
 def reserved_tokens() -> tuple[str, ...]:
@@ -36,7 +34,7 @@ def tokenize(text: str) -> list[str]:
     Tag tokens glued to punctuation ("<keyword1>." or "<num1><unit1>")
     are separated first; no other normalization happens.
     """
-    return _TAG_SPLIT_RE.sub(r" \1 ", text).split()
+    return TAG_TOKEN_RE.sub(r" \g<0> ", text).split()
 
 
 class Vocab:
@@ -71,7 +69,7 @@ class Vocab:
             seen.update(target)
         learned = sorted(
             tok for tok in seen
-            if tok not in known and not _TAG_TOKEN_RE.fullmatch(tok)
+            if tok not in known and not TAG_TOKEN_RE.fullmatch(tok)
         )
         return cls(reserved + tuple(learned))
 

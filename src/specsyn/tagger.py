@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .corpus import CandidateText, KeywordSet, _keyword_pattern
+from .corpus import KeywordSet, _keyword_pattern
 
 
 class TagError(ValueError):
@@ -49,10 +49,14 @@ _PRIORITY = {
     TagClass.NUM: 0,
 }
 
-_TAG_TOKEN_RE = re.compile(r"<(bool|num|unit|keyword|format)(\d+)>")
+# A tag id is a class name and a slot number ("num1"); its token is the id in
+# angle brackets ("<num1>"). The model's tokenizer splits on TAG_TOKEN_RE.
+TAG_ID_RE = re.compile(rf"({'|'.join(cls.value for cls in TagClass)})(\d+)")
+TAG_TOKEN_RE = re.compile(rf"<{TAG_ID_RE.pattern}>")
 
-# integers and decimals, optional sign and thousands separators
-_NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
+# integers and decimals, optional sign and thousands separators; the config
+# checker reads observed values with the same grammar
+NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
 
 _WORD = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 
@@ -99,7 +103,6 @@ def load_lexicons(directory=None) -> Lexicons:
 class TaggedCandidate:
     text: str  # C: lowercased, literals replaced by tag tokens
     tags: dict  # T: tag id -> surface, in order of first occurrence
-    origin: CandidateText | None = None
 
 
 def _boundary_ok(text: str, start: int, end: int, surface: str) -> bool:
@@ -123,7 +126,7 @@ def _number_guard_ok(text: str, start: int, end: int) -> bool:
 
 
 def _match_number(text: str, i: int):
-    m = _NUMBER_RE.match(text, i)
+    m = NUMBER_RE.match(text, i)
     if m is None:
         return None
     lexeme = m.group()
@@ -198,13 +201,8 @@ def tag_text(text: str, keywords, lexicons: Lexicons | None = None) -> TaggedCan
     return TaggedCandidate("".join(out), tags)
 
 
-def tag(candidate: CandidateText, keywords, lexicons: Lexicons | None = None) -> TaggedCandidate:
-    tagged = tag_text(candidate.text, keywords, lexicons)
-    return TaggedCandidate(tagged.text, tagged.tags, candidate)
-
-
 def tag_class_of(tag_id: str) -> TagClass:
-    m = re.fullmatch(r"(bool|num|unit|keyword|format)(\d+)", tag_id)
+    m = TAG_ID_RE.fullmatch(tag_id)
     if m is None:
         raise TagError(f"not a tag id: {tag_id!r}")
     return TagClass(m.group(1))
@@ -254,8 +252,7 @@ def detag(tokens, tags: dict) -> str:
     """
     substituted = []
     for token in tokens:
-        m = _TAG_TOKEN_RE.fullmatch(token)
-        if m:
+        if TAG_TOKEN_RE.fullmatch(token):
             tag_id = token[1:-1]
             if tag_id not in tags:
                 raise UnknownTagError(f"tag {token} has no surface in the tag map")

@@ -1,13 +1,24 @@
-"""End-to-end command-line tests, run through subprocesses."""
+"""End-to-end command-line tests, run through subprocesses; a test that
+must replace a model method runs `specsyn.cli.main` in this process."""
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specsyn
 from conftest import run_cli, run_python
+from specsyn import cli
 from specsyn.dsl import parse_spec
+from specsyn.model import (
+    GenerationResult,
+    Model,
+    ModelConfig,
+    Vocab,
+    reserved_tokens,
+    save_checkpoint,
+)
 
 DOC = (
     "Set user_port to a value greater than 1500.\n"
@@ -191,6 +202,32 @@ class TestSynthesize:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_truncation_drops_the_tags_of_removed_tokens(self, tmp_path, monkeypatch):
+        config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=8)
+        save_checkpoint(Model.initialize(config, Vocab(reserved_tokens())), tmp_path / "m.spsy")
+        # 14 tokens once tagged; the 7 after [CLS] end before max_rows and 7
+        (tmp_path / "doc.txt").write_text(
+            "Set user_port above 1500 and keep it so, then max_rows below 7.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "kw.txt").write_text("user_port\nmax_rows\n", encoding="utf-8")
+        seen = []
+
+        def generate(self, h_c, tags, max_len=24):
+            seen.append(dict(tags))
+            return GenerationResult(("use", "(", "<keyword1>", ")"), False)
+
+        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([0.0, 1.0]))
+        monkeypatch.setattr(Model, "generate", generate)
+        status = cli.main([
+            "synthesize", "--model", str(tmp_path / "m.spsy"),
+            "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
+            "--out", str(tmp_path / "specs.spec"),
+        ])
+        assert status == 0
+        assert seen == [{"keyword1": "user_port", "num1": "1500"}]
+        assert (tmp_path / "specs.spec").read_text() == "use(user_port)\n"
 
 
 class TestEval:

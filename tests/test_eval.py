@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specsyn import dsl
 from specsyn.corpus import ExtractionType
 from specsyn.dsl import Category, parse_spec
 from specsyn.eval import (
@@ -251,6 +252,20 @@ class TestReport:
         report = report_from_outcomes(mixed_outcomes())
         assert report.generation_em == pytest.approx(2 / 3)
 
+    def test_each_scored_pair_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_spec(text)
+
+        monkeypatch.setattr(dsl, "parse_spec", counting_parse)
+        report_from_outcomes(mixed_outcomes())
+        # gold and prediction of the three flagged gold positives
+        assert sorted(parsed) == sorted(
+            ["a > 5", "a > 5", "b < 2", "b <= 3", "e in [1, 2]", "e in [1,2]"]
+        )
+
     def test_empty_outcomes_rejected(self):
         with pytest.raises(EvalError):
             report_from_outcomes([])
@@ -294,6 +309,23 @@ class TestModelEvaluation:
         assert report.generation_em == 1.0
         expected = gold_spec(samples[0])
         assert expected == "opt0 > 10"
+
+    def test_overlong_labeled_sample_is_rejected(self):
+        from specsyn.model import Model, ModelConfig, SequenceTooLong, Vocab, reserved_tokens
+        from specsyn.synthdata import LabeledSample
+
+        config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=4)
+        model = Model.initialize(config, Vocab(reserved_tokens()))
+        sample = LabeledSample(
+            text="set <keyword1> above <num1> now",
+            tags={"keyword1": "a", "num1": "3"},
+            label=True,
+            target=("<keyword1>", ">", "<num1>"),
+            category=Category.QUANTITATIVE,
+            type=ExtractionType.SIMPLE,
+        )
+        with pytest.raises(SequenceTooLong):
+            evaluate(model, [sample])
 
     def test_gold_spec_for_negative_is_none(self):
         from specsyn.synthdata import LabeledSample

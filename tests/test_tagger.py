@@ -1,7 +1,7 @@
 import pytest
 
 from specsyn import tagger
-from specsyn.corpus import CandidateText, ExtractionType, KeywordSet
+from specsyn.corpus import KeywordSet
 from specsyn.tagger import (
     Lexicons,
     NonParsingOutput,
@@ -10,7 +10,6 @@ from specsyn.tagger import (
     detag,
     load_lexicons,
     render_tokens,
-    tag,
     tag_text,
 )
 
@@ -112,12 +111,6 @@ class TestTagging:
     def test_retagging_is_stable(self, lex):
         text = "set max_rows to 10,000 bytes or 80% if true"
         assert tag_text(text, KW, lex) == tag_text(text, KW, lex)
-
-    def test_tag_wraps_candidate(self, lex):
-        cand = CandidateText("max_rows > 5", "d:0", ExtractionType.SIMPLE, ("max_rows",))
-        got = tag(cand, KW, lex)
-        assert got.origin is cand
-        assert got.text == "<keyword1> > <num1>"
 
     def test_bijection_between_text_and_map(self, lex):
         import re
