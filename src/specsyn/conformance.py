@@ -21,9 +21,9 @@ from urllib.parse import urlparse
 
 from .dsl import (
     KEYWORD_RE,
+    UNIT_RE,
     Boolean,
     Connective,
-    FormatClass,
     KeywordRef,
     Number,
     Relation,
@@ -42,7 +42,7 @@ class DecodeError(ConfigError):
     """Configuration bytes are not valid UTF-8."""
 
 
-_UNIT_TAIL_RE = re.compile(r"\s*(?:[A-Za-z_][A-Za-z0-9_]*|%)?\s*$")
+_UNIT_TAIL_RE = re.compile(rf"\s*(?:{UNIT_RE.pattern})?\s*$")
 
 
 class ConfigFormat(enum.Enum):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .dsl import content_lines
+
 
 class CorpusError(ValueError):
     pass
@@ -322,13 +324,8 @@ def extract_candidates(
 
 def load_keyword_file(path, software: str = "") -> KeywordSet:
     """One keyword per line; blank lines and '#' comments ignored."""
-    with open(path, encoding="utf-8") as fh:
-        keywords = [
-            line.strip()
-            for line in fh
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-    return KeywordSet(software or "unknown", tuple(keywords))
+    keywords = tuple(line for _, line in content_lines(path))
+    return KeywordSet(software or "unknown", keywords)
 
 
 def candidate_to_dict(candidate: CandidateText) -> dict:

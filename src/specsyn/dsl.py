@@ -100,7 +100,8 @@ class Category(enum.Enum):
 # configuration keywords, in rules and as config-file keys alike
 _KEYWORD = r"-{0,2}[A-Za-z_][A-Za-z0-9_.\-]*"
 KEYWORD_RE = re.compile(_KEYWORD)
-_UNIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|%")
+# units after a number, in rules and after observed config values alike
+UNIT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|%")
 _RESERVED = frozenset(
     {"and", "or", "in", "true", "false", "use", "with", "prefer", "format", "recommend"}
 )
@@ -135,7 +136,7 @@ class Number:
         object.__setattr__(self, "magnitude", m)
         if "e" in format_number(m):
             raise ValidationError(f"magnitude {m!r} has no canonical decimal form")
-        if self.unit is not None and not _UNIT_RE.fullmatch(self.unit):
+        if self.unit is not None and not UNIT_RE.fullmatch(self.unit):
             raise ValidationError(f"unit {self.unit!r} is not a valid unit token")
         if self.unit in _RESERVED:
             raise ValidationError(f"unit {self.unit!r} collides with a reserved word")
@@ -518,17 +519,23 @@ def infer_category(spec: Specification) -> Category:
 # ---------------------------------------------------------------------------
 # spec files: one specification per line, '#' comments, blanks ignored
 
-def load_spec_file(path) -> list[Specification]:
-    specs = []
+def content_lines(path):
+    """(line number, stripped text) of each line that is neither blank nor a
+    '#' comment; spec, keyword, lexicon and distractor files all read this way."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                specs.append(parse_spec(line))
-            except DslError as exc:
-                raise SpecFileError(path, lineno, exc) from exc
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def load_spec_file(path) -> list[Specification]:
+    specs = []
+    for lineno, line in content_lines(path):
+        try:
+            specs.append(parse_spec(line))
+        except DslError as exc:
+            raise SpecFileError(path, lineno, exc) from exc
     return specs
 
 

@@ -13,7 +13,9 @@ import struct
 
 import numpy as np
 
-from .network import Model, ModelConfig, ModelError
+from .network import (
+    CATEGORY_HIDDEN, DETECT_HIDDEN, GENERATOR_HIDDEN, Model, ModelConfig, ModelError,
+)
 from .vocab import Vocab
 
 MAGIC = b"SPSY"
@@ -98,10 +100,11 @@ def load_checkpoint(path) -> Model:
             blocks=sum(1 for n in tensors if n.endswith("/attn/wq")),
             heads=heads,
             max_len=tensors["embed/positions"].shape[0],
-            detect_hidden=tensors["detect/w1"].shape[1],
-            category_hidden=tensors["category/w1"].shape[1],
-            generator_hidden=tensors["generator/h0"].shape[1],
         )
+        widths = tuple(tensors[n].shape[1] for n in ("detect/w1", "category/w1", "generator/h0"))
+        expected = (DETECT_HIDDEN, CATEGORY_HIDDEN, GENERATOR_HIDDEN)
+        if widths != expected:
+            raise CheckpointError(f"checkpoint head widths {widths} are not {expected}")
         return Model(config, vocab, tensors)
     except (KeyError, IndexError) as exc:
         raise CheckpointError(f"checkpoint is missing tensor data: {exc}") from exc

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsl import Category
+from ..tagger import TagClass
 from .vocab import (
     BOS_ID,
     CLS_ID,
     EOS_ID,
     ModelError,
     PAD_ID,
-    TAG_CLASSES,
     TAG_SLOTS,
     UNK_ID,
     Vocab,
@@ -44,6 +44,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 CATEGORIES = tuple(Category)
 
+# hidden widths of the detection and category MLPs and of the LSTM generator
+DETECT_HIDDEN = 50
+CATEGORY_HIDDEN = 50
+GENERATOR_HIDDEN = 20
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -51,16 +56,9 @@ class ModelConfig:
     blocks: int = 2
     heads: int = 4
     max_len: int = 64
-    detect_hidden: int = 50
-    category_hidden: int = 50
-    generator_hidden: int = 20
 
     def __post_init__(self):
-        sizes = (
-            self.d_model, self.blocks, self.heads, self.max_len,
-            self.detect_hidden, self.category_hidden, self.generator_hidden,
-        )
-        if any(s < 1 for s in sizes):
+        if any(s < 1 for s in (self.d_model, self.blocks, self.heads, self.max_len)):
             raise ModelError("all model dimensions must be positive")
         if self.d_model % self.heads:
             raise ModelError("d_model must be divisible by heads")
@@ -97,7 +95,8 @@ class Batch:
 
 
 def weighted_ce(pred, label: int, weights) -> float:
-    """-w_label * ln(p_label) with the log argument clamped at 1e-12."""
+    """-w_label * ln(p_label) with the log argument clamped at 1e-12: the
+    scalar reference for the rows of `_cross_entropy`, which training uses."""
     p = float(np.asarray(pred)[label])
     return -float(np.asarray(weights)[label]) * math.log(max(p, _LOG_FLOOR))
 
@@ -115,6 +114,19 @@ def _softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cross_entropy(logits, targets, weights):
+    """Per-row loss -w * ln(max(p_target, 1e-12)) and its logit gradient
+    (softmax - onehot) * w, zeroed on rows where the clamp applies."""
+    grad = _softmax(logits)
+    rows = np.arange(grad.shape[0])
+    p = grad[rows, targets]
+    loss = -(weights * np.log(np.maximum(p, _LOG_FLOOR)))
+    grad[rows, targets] -= 1.0
+    grad *= weights[:, None]
+    grad[p < _LOG_FLOOR] = 0.0
+    return loss, grad
 
 
 def _sigmoid(x):
@@ -183,7 +195,7 @@ def _matgrad(x, dy):
 
 def _init_params(config: ModelConfig, vocab_size: int, rng) -> dict[str, np.ndarray]:
     d = config.d_model
-    g = config.generator_hidden
+    g = GENERATOR_HIDDEN
 
     def normal(fan_in, fan_out):
         # Glorot: keeps forward activations and backward signals at a
@@ -213,8 +225,8 @@ def _init_params(config: ModelConfig, vocab_size: int, rng) -> dict[str, np.ndar
     p["final_ln/shift"] = np.zeros(d)
     p["pool/w1"] = normal(d, d)
     for head, hidden, classes in (
-        ("detect", config.detect_hidden, 2),
-        ("category", config.category_hidden, len(CATEGORIES)),
+        ("detect", DETECT_HIDDEN, 2),
+        ("category", CATEGORY_HIDDEN, len(CATEGORIES)),
     ):
         p[f"{head}/w1"] = normal(d, hidden)
         p[f"{head}/b1"] = np.zeros(hidden)
@@ -358,7 +370,7 @@ class Model:
 
     def _lstm_step(self, x, h, c):
         p = self.params
-        g = self.config.generator_hidden
+        g = GENERATOR_HIDDEN
         gates = x @ p["generator/wx"] + h @ p["generator/wh"] + p["generator/b"]
         i = _sigmoid(gates[:, :g])
         f = _sigmoid(gates[:, g:2 * g])
@@ -369,40 +381,41 @@ class Model:
         h_new = o * tc
         return h_new, c_new, (i, f, z, o, tc)
 
+    def _lstm_start(self, h_c):
+        """Initial (h, c): the context also seeds the cell, where the gates preserve it."""
+        h0_pre = h_c @ self.params["generator/h0"]
+        return np.tanh(h0_pre), h0_pre
+
     def _gen_forward(self, h_c, gen_in, gen_out, gen_mask):
         p = self.params
         n_tok = int(gen_mask.sum())
-        h0_pre = h_c @ p["generator/h0"]
-        h = np.tanh(h0_pre)
-        c = h0_pre  # context also seeds the cell, where the gates preserve it
+        h, c = self._lstm_start(h_c)
+        h0 = h
+        ones = np.ones(h_c.shape[0])
         steps = []
         loss = 0.0
         for t in range(gen_in.shape[1]):
             x = p["embed/tokens"][gen_in[:, t]]
             h_prev, c_prev = h, c
             h, c, gates = self._lstm_step(x, h_prev, c_prev)
-            probs = _softmax(h @ p["generator/out_w"] + p["generator/out_b"])
-            target_p = probs[np.arange(probs.shape[0]), gen_out[:, t]]
+            logits = h @ p["generator/out_w"] + p["generator/out_b"]
+            step_loss, dlogits = _cross_entropy(logits, gen_out[:, t], ones)
             live = gen_mask[:, t]
-            loss -= np.log(np.maximum(target_p, _LOG_FLOOR))[live].sum()
-            steps.append((x, h_prev, c_prev, gates, probs, h))
+            loss += step_loss[live].sum()
+            dlogits[~live] = 0.0
+            steps.append((x, h_prev, c_prev, gates, dlogits, h))
         loss = loss / n_tok if n_tok else 0.0
-        return loss, (h_c, h0_pre, steps, n_tok)
+        return loss, (h_c, h0, steps, n_tok)
 
-    def _gen_backward(self, cache, gen_in, gen_out, gen_mask, scale, grads):
+    def _gen_backward(self, cache, gen_in, scale, grads):
         p = self.params
-        h_c, h0_pre, steps, n_tok = cache
+        h_c, h0, steps, n_tok = cache
         factor = scale / n_tok if n_tok else 0.0
-        rows = np.arange(h_c.shape[0])
-        dh_next = np.zeros((h_c.shape[0], self.config.generator_hidden))
+        dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN))
         dc_next = np.zeros_like(dh_next)
         d_embed = grads.setdefault("embed/tokens", np.zeros_like(p["embed/tokens"]))
         for t in reversed(range(gen_in.shape[1])):
-            x, h_prev, c_prev, (i, f, z, o, tc), probs, h = steps[t]
-            dlogits = probs.copy()
-            dlogits[rows, gen_out[:, t]] -= 1.0
-            clamped = probs[rows, gen_out[:, t]] < _LOG_FLOOR
-            dlogits[~gen_mask[:, t] | clamped] = 0.0
+            x, h_prev, c_prev, (i, f, z, o, tc), dlogits, h = steps[t]
             dlogits *= factor
             _acc(grads, "generator/out_w", h.T @ dlogits)
             _acc(grads, "generator/out_b", dlogits.sum(axis=0))
@@ -425,7 +438,6 @@ class Model:
             _acc(grads, "generator/b", dgates.sum(axis=0))
             np.add.at(d_embed, gen_in[:, t], dgates @ p["generator/wx"].T)
             dh_next = dgates @ p["generator/wh"].T
-        h0 = np.tanh(h0_pre)
         dh0 = dh_next * (1.0 - h0 * h0) + dc_next
         _acc(grads, "generator/h0", h_c.T @ dh0)
         return dh0 @ p["generator/h0"].T
@@ -438,19 +450,18 @@ class Model:
         h_c, enc_cache = self._encode_batch(batch.ids, batch.mask)
 
         det_logits, det_cache = self._mlp_forward("detect", h_c)
-        det_probs = _softmax(det_logits)
-        rows = np.arange(b)
-        det_p = det_probs[rows, batch.labels]
-        det_loss = float(
-            -(weights[batch.labels] * np.log(np.maximum(det_p, _LOG_FLOOR))).mean()
+        det_rows, det_grad = _cross_entropy(
+            det_logits, batch.labels, weights[batch.labels]
         )
+        det_loss = float(det_rows.mean())
 
         cat_rows = np.flatnonzero(batch.cat_ids >= 0)
         if cat_rows.size:
             cat_logits, cat_cache = self._mlp_forward("category", h_c[cat_rows])
-            cat_probs = _softmax(cat_logits)
-            cat_p = cat_probs[np.arange(cat_rows.size), batch.cat_ids[cat_rows]]
-            cat_loss = float(-np.log(np.maximum(cat_p, _LOG_FLOOR)).mean())
+            cat_row_loss, cat_grad = _cross_entropy(
+                cat_logits, batch.cat_ids[cat_rows], np.ones(cat_rows.size)
+            )
+            cat_loss = float(cat_row_loss.mean())
         else:
             cat_loss = 0.0
 
@@ -482,28 +493,16 @@ class Model:
         grads: dict[str, np.ndarray] = {}
         dh_c = np.zeros_like(h_c)
 
-        dlogits = det_probs.copy()
-        dlogits[rows, batch.labels] -= 1.0
-        dlogits *= weights[batch.labels, None]
-        dlogits[det_p < _LOG_FLOOR] = 0.0
-        dlogits *= coeffs.detection / b
-        dh_c += self._mlp_backward("detect", dlogits, det_cache, grads)
+        det_grad *= coeffs.detection / b
+        dh_c += self._mlp_backward("detect", det_grad, det_cache, grads)
 
         if cat_rows.size:
-            dlogits = cat_probs.copy()
-            dlogits[np.arange(cat_rows.size), batch.cat_ids[cat_rows]] -= 1.0
-            dlogits[cat_p < _LOG_FLOOR] = 0.0
-            dlogits *= coeffs.category / cat_rows.size
-            dh_c[cat_rows] += self._mlp_backward("category", dlogits, cat_cache, grads)
+            cat_grad *= coeffs.category / cat_rows.size
+            dh_c[cat_rows] += self._mlp_backward("category", cat_grad, cat_cache, grads)
 
         if gen_rows.size:
             dh_c[gen_rows] += self._gen_backward(
-                gen_cache,
-                batch.gen_in[gen_rows],
-                batch.gen_out[gen_rows],
-                batch.gen_mask[gen_rows],
-                coeffs.generation,
-                grads,
+                gen_cache, batch.gen_in[gen_rows], coeffs.generation, grads
             )
 
         self._encode_backward(dh_c, enc_cache, grads)
@@ -527,25 +526,22 @@ class Model:
         ids = np.asarray(list(ids), dtype=np.int64)
         if ids.size == 0 or ids[0] != CLS_ID:
             raise ModelError("sequence must start with [CLS]")
-        if ids.size > self.config.max_len:
-            raise SequenceTooLong(
-                f"sequence length {ids.size} exceeds max_len {self.config.max_len}"
-            )
         h_c, _ = self._encode_batch(ids[None, :], np.ones((1, ids.size), dtype=bool))
         return h_c[0]
 
     def encode_text(self, text: str) -> np.ndarray:
         return self.encode([CLS_ID] + self.vocab.encode(text))
 
-    def detect(self, h_c) -> np.ndarray:
+    def _head_probs(self, head, h_c) -> np.ndarray:
         h = np.atleast_2d(np.asarray(h_c))
-        probs = _softmax(self._mlp_forward("detect", h)[0])
+        probs = _softmax(self._mlp_forward(head, h)[0])
         return probs[0] if np.ndim(h_c) == 1 else probs
 
+    def detect(self, h_c) -> np.ndarray:
+        return self._head_probs("detect", h_c)
+
     def classify_category(self, h_c) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(h_c))
-        probs = _softmax(self._mlp_forward("category", h)[0])
-        return probs[0] if np.ndim(h_c) == 1 else probs
+        return self._head_probs("category", h_c)
 
     def generate(self, h_c, tags, max_len: int = 24) -> GenerationResult:
         """Greedy decode constrained to tag tokens present in the tag map."""
@@ -554,14 +550,12 @@ class Model:
         p = self.params
         allowed = np.ones(len(self.vocab), dtype=bool)
         allowed[[PAD_ID, UNK_ID, CLS_ID, BOS_ID]] = False
-        for cls in TAG_CLASSES:
+        for cls in TagClass:
             for i in range(1, TAG_SLOTS + 1):
-                if f"{cls}{i}" not in tags:
-                    allowed[self.vocab.id_of(f"<{cls}{i}>")] = False
+                if f"{cls.value}{i}" not in tags:
+                    allowed[self.vocab.id_of(f"<{cls.value}{i}>")] = False
 
-        h0_pre = np.asarray(h_c)[None, :] @ p["generator/h0"]
-        h = np.tanh(h0_pre)
-        c = h0_pre
+        h, c = self._lstm_start(np.asarray(h_c)[None, :])
         prev = BOS_ID
         tokens: list[str] = []
         truncated = True

@@ -10,7 +10,6 @@ from .network import (
     Batch,
     CATEGORIES,
     DivergenceError,
-    LossCoefficients,
     Model,
     ModelConfig,
     ModelError,
@@ -25,11 +24,7 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     rng_seed: int = 42
-    coefficients: LossCoefficients = LossCoefficients()
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -50,7 +45,6 @@ class EpochLoss:
 class TrainResult:
     model: Model
     loss_log: list[EpochLoss]
-    class_weights: np.ndarray
 
 
 class Adam:
@@ -134,7 +128,7 @@ def train(
     model = Model.initialize(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
     )
-    optimizer = Adam(model.params, config.lr, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(model.params, config.lr)
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
     loss_log: list[EpochLoss] = []
@@ -151,11 +145,11 @@ def train(
         for b in shuffle.permutation(len(batches)):
             chosen = batches[b]
             batch = make_batch([rows[i] for i in chosen])
-            losses, grads = model.loss_and_grads(batch, weights, config.coefficients)
+            losses, grads = model.loss_and_grads(batch, weights)
             if math.isnan(losses["total"]):
                 raise DivergenceError("training loss is NaN")
             optimizer.step(model.params, grads)
             for key in sums:
                 sums[key] += losses[key] * len(chosen)
         loss_log.append(EpochLoss(**{k: v / n for k, v in sums.items()}))
-    return TrainResult(model=model, loss_log=loss_log, class_weights=weights)
+    return TrainResult(model=model, loss_log=loss_log)

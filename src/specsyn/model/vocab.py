@@ -1,13 +1,14 @@
 """Token vocabulary with fixed control and tag-token ids.
 
 Ids 0..4 are control tokens, ids 5..44 are the tag tokens for eight slots
-of each tag class, and everything after that is learned from the training
-split in sorted order so vocabulary construction is deterministic.
+of each tag class in `tagger.TagClass` order, and everything after that is
+learned from the training split in sorted order so vocabulary construction
+is deterministic.
 """
 
 from collections.abc import Iterable, Sequence
 
-from ..tagger import TAG_TOKEN_RE
+from ..tagger import TAG_TOKEN_RE, TagClass
 
 
 class ModelError(Exception):
@@ -17,13 +18,12 @@ class ModelError(Exception):
 PAD, UNK, CLS, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[BOS]", "[EOS]"
 PAD_ID, UNK_ID, CLS_ID, BOS_ID, EOS_ID = 0, 1, 2, 3, 4
 
-TAG_CLASSES = ("keyword", "num", "bool", "unit", "format")
 TAG_SLOTS = 8
 
 
 def reserved_tokens() -> tuple[str, ...]:
     tags = tuple(
-        f"<{cls}{i}>" for cls in TAG_CLASSES for i in range(1, TAG_SLOTS + 1)
+        f"<{cls.value}{i}>" for cls in TagClass for i in range(1, TAG_SLOTS + 1)
     )
     return (PAD, UNK, CLS, BOS, EOS) + tags
 

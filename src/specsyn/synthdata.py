@@ -49,8 +49,6 @@ class InsufficientSeeds(SynthError):
     """The requested dataset cannot be stratified from the given seeds."""
 
 
-_SLOT_RE = re.compile(r"\{(kw|num|bool|unit|format|version)(\d*)\}")
-
 _SLOT_CLASS = {
     "kw": TagClass.KEYWORD,
     "num": TagClass.NUM,
@@ -60,13 +58,18 @@ _SLOT_CLASS = {
     "version": None,  # never appears in targets; fills with an x.y.z string
 }
 
+# a slot name is a slot kind and an optional number ("kw2"); templates write
+# it in braces ("{kw2}")
+_SLOT_NAME_RE = re.compile(rf"({'|'.join(_SLOT_CLASS)})(\d*)")
+_SLOT_RE = re.compile(rf"\{{{_SLOT_NAME_RE.pattern}\}}")
+
 # default unit fillers; the full lexicon also contains units that read badly
 # in generated prose (bare "s", "%")
 _UNIT_POOL = ("bytes", "kb", "mb", "gb", "ms", "seconds")
 
 
 def _slot_prefix(name: str) -> str:
-    m = re.fullmatch(r"(kw|num|bool|unit|format|version)(\d*)", name)
+    m = _SLOT_NAME_RE.fullmatch(name)
     if m is None:
         raise TemplateError(f"bad slot name {name!r}")
     return m.group(1)
@@ -83,11 +86,11 @@ def _find_slots(texts) -> tuple:
     return tuple(seen)
 
 
-def _derive_type(slots, sentences) -> ExtractionType:
-    kw_slots = [s for s in slots if _slot_prefix(s) == "kw"]
-    if len(kw_slots) >= 2:
+def _derive_type(n_keywords: int, n_sentences: int) -> ExtractionType:
+    """Two keywords make a multi-keyword sample, else two sentences a complex one."""
+    if n_keywords >= 2:
         return ExtractionType.COMPLEX_MULTI
-    if len(sentences) >= 2:
+    if n_sentences >= 2:
         return ExtractionType.COMPLEX_SINGLE
     return ExtractionType.SIMPLE
 
@@ -116,7 +119,8 @@ class SeedTemplate:
             raise TemplateError(f"template {self.id}: needs a keyword slot")
         if any(_slot_prefix(s) == "version" for s in slots):
             raise TemplateError(f"template {self.id}: version slots are negative-only")
-        derived = _derive_type(slots, self.sentences)
+        n_keywords = sum(_slot_prefix(s) == "kw" for s in slots)
+        derived = _derive_type(n_keywords, len(self.sentences))
         if derived is not self.type:
             raise TemplateError(
                 f"template {self.id}: declared type {self.type.value} but "
@@ -203,10 +207,7 @@ def load_seed_library(path) -> SeedLibrary:
 
 
 def load_distractors(path) -> tuple:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return tuple(
-        line.strip() for line in lines if line.strip() and not line.startswith("#")
-    )
+    return tuple(line for _, line in dsl.content_lines(path))
 
 
 def default_library() -> SeedLibrary:
@@ -358,12 +359,7 @@ def _compose_negative(
     found = keywords.find(text)
     if not found:
         raise TemplateError(f"negative {template.id}: no keyword in output")
-    if len(found) >= 2:
-        kind = ExtractionType.COMPLEX_MULTI
-    elif n_sentences >= 2:
-        kind = ExtractionType.COMPLEX_SINGLE
-    else:
-        kind = ExtractionType.SIMPLE
+    kind = _derive_type(len(found), n_sentences)
     return LabeledSample(tagged.text, tagged.tags, False, (), None, kind, None)
 
 

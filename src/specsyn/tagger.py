@@ -33,10 +33,11 @@ class NonParsingOutput(TagError):
 
 
 class TagClass(enum.Enum):
-    BOOL = "bool"
-    NUM = "num"
-    UNIT = "unit"
+    # declaration order fixes the model's reserved tag-token ids
     KEYWORD = "keyword"
+    NUM = "num"
+    BOOL = "bool"
+    UNIT = "unit"
     FORMAT = "format"
 
 
@@ -76,12 +77,7 @@ class Lexicons:
 
 
 def _read_lexicon(path: Path) -> tuple:
-    surfaces = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            surfaces.append(line)
-    return tuple(dict.fromkeys(surfaces))
+    return tuple(dict.fromkeys(line.lower() for _, line in dsl.content_lines(path)))
 
 
 def load_lexicons(directory=None) -> Lexicons:

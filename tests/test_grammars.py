@@ -1,8 +1,10 @@
 """Seeded property tests: one grammar per concept.
 
 The tagger, the rule language, the config checker and the model's
-tokenizer read numbers, configuration keywords and tag tokens with shared
-definitions, so each pair of readers agrees on every input drawn here.
+tokenizer read numbers, units, configuration keywords and tag tokens with
+shared definitions, so each pair of readers agrees on every input drawn
+here. The line-list files (keywords, lexicons, distractors, specs) share
+one reader, and the model reserves one token per tag class and slot.
 """
 
 import random
@@ -11,8 +13,9 @@ import pytest
 
 from specsyn import dsl
 from specsyn.conformance import coerce_number, parse_config
-from specsyn.corpus import KeywordSet
-from specsyn.model import tokenize
+from specsyn.corpus import KeywordSet, load_keyword_file
+from specsyn.model import TAG_SLOTS, Vocab, reserved_tokens, tokenize
+from specsyn.synthdata import load_distractors
 from specsyn.tagger import TagClass, load_lexicons, spec_token, tag_text
 
 # words the rule language reserves; a config file may still use them as keys
@@ -20,6 +23,12 @@ RESERVED = ("and", "or", "in", "true", "false")
 
 # inside the keyword grammar, then characters outside it and the DSL's own
 KEY_CHARS = "abcXYZ_019.-" * 3 + "@/:+é"
+
+# words a rule cannot use as a unit; an observed config value may still carry one
+UNIT_RESERVED = RESERVED + ("use", "with", "prefer", "format", "recommend")
+
+# inside the unit grammar, then characters outside it
+UNIT_CHARS = "kmgbMBs_09" * 3 + "%.-/é"
 
 KEYWORDS = KeywordSet("test", ("max_rows", "user_port", "have_ssl", "--ssl-mode", "log.level"))
 
@@ -50,6 +59,12 @@ def random_number(rng: random.Random) -> str:
     if rng.random() < 0.3:
         body += "." + str(rng.randint(0, 999))
     return sign + body
+
+
+def random_unit(rng: random.Random) -> str:
+    if rng.random() < 0.1:
+        return rng.choice(UNIT_RESERVED + ("%",))
+    return "".join(rng.choice(UNIT_CHARS) for _ in range(rng.randint(1, 5)))
 
 
 def random_text(rng: random.Random, lex) -> str:
@@ -105,3 +120,50 @@ class TestOneGrammarPerConcept:
             for tag_id in tagged.tags:
                 token = f"<{tag_id}>"
                 assert tokens.count(token) == tagged.text.count(token), (tagged.text, tokens)
+
+    def test_rule_units_coerce_to_the_magnitude(self):
+        rng = random.Random(4114)
+        accepted = 0
+        for _ in range(2000):
+            magnitude = rng.randint(-99999, 99999) / rng.choice((1, 10, 100))
+            unit = random_unit(rng)
+            try:
+                number = dsl.Number(magnitude, unit)
+            except dsl.DslError:
+                number = None
+            observed = coerce_number(f"{dsl.format_number(magnitude)} {unit}")
+            if number is not None:
+                accepted += 1
+                assert observed == magnitude, unit
+            elif unit not in UNIT_RESERVED:
+                assert observed is None, unit
+        assert accepted > 500
+
+    def test_every_tag_token_is_reserved_in_class_order(self):
+        expected = [
+            f"<{cls.value}{slot}>" for cls in TagClass for slot in range(1, TAG_SLOTS + 1)
+        ]
+        vocab = Vocab(reserved_tokens())
+        ids = [vocab.id_of(token) for token in expected]
+        assert [vocab.token_of(i) for i in ids] == expected
+        assert ids == list(range(5, 5 + len(expected)))
+
+
+class TestOneLineListReader:
+    TEXT = "# header\n\n  # indented note\n\tmax_rows  \nuser_port\n   \n"
+
+    def test_every_reader_skips_blanks_and_comments_alike(self, tmp_path):
+        expected = ("max_rows", "user_port")
+        for name in ("kw.txt", "distractors.txt", "bool.lex", "unit.lex", "format.lex"):
+            (tmp_path / name).write_text(self.TEXT, encoding="utf-8")
+        assert load_keyword_file(tmp_path / "kw.txt").keywords == expected
+        assert load_distractors(tmp_path / "distractors.txt") == expected
+        lex = load_lexicons(tmp_path)
+        assert lex.bool_surfaces == lex.unit_surfaces == lex.format_surfaces == expected
+
+    def test_spec_file_errors_count_skipped_lines(self, tmp_path):
+        path = tmp_path / "specs.spec"
+        path.write_text(self.TEXT.replace("max_rows", "x in [7, 2]"), encoding="utf-8")
+        with pytest.raises(dsl.SpecFileError) as err:
+            dsl.load_spec_file(path)
+        assert err.value.lineno == 4

@@ -436,11 +436,41 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_other_head_width_rejected(self, vocab, tmp_path):
+        m = Model.initialize(SMALL, vocab, rng_seed=4)
+        m.params["detect/w1"] = np.zeros((SMALL.d_model, 40))
+        path = tmp_path / "m.spsy"
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError, match="head widths"):
+            load_checkpoint(path)
+
 
 class TestGradients:
     def test_output_layer_matches_finite_differences(self, model, batch, weights):
         err = grad_check(model, batch, weights, names=["detect/w3", "detect/b3"])
         assert err < 1e-7
+
+    def test_training_losses_are_weighted_ce(self, model, batch, weights):
+        """Training minimises the per-row loss `weighted_ce` defines."""
+        probs = []
+        for ids, mask in zip(batch.ids, batch.mask):
+            h = model.encode(ids[mask])
+            probs.append((model.detect(h), model.classify_category(h)))
+        det = model.losses(batch, weights, LossCoefficients(1.0, 0.0, 0.0))
+        expected = np.mean([
+            weighted_ce(p_det, label, weights)
+            for (p_det, _), label in zip(probs, batch.labels)
+        ])
+        assert det["total"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert det["detection"] == det["total"]
+
+        cat = model.losses(batch, weights, LossCoefficients(0.0, 0.0, 1.0))
+        expected = np.mean([
+            weighted_ce(p_cat, c, np.ones(len(CATEGORIES)))
+            for (_, p_cat), c in zip(probs, batch.cat_ids) if c >= 0
+        ])
+        assert cat["total"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert cat["category"] == cat["total"]
 
     def test_zero_coefficients_zero_gradients(self, model, batch, weights):
         coeffs = LossCoefficients(detection=0.0, generation=0.0, category=0.0)
