@@ -115,8 +115,6 @@ _ABBREVIATIONS = frozenset({"e.g", "i.e", "etc", "cf", "vs", "fig", "eq", "sec"}
 def _is_sentence_boundary(text: str, i: int) -> bool:
     ch = text[i]
     if ch == ".":
-        if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-            return False  # decimal points and version strings
         m = re.search(r"[A-Za-z][A-Za-z.]*$", text[:i])
         if m and m.group().lower() in _ABBREVIATIONS:
             return False
@@ -322,10 +320,10 @@ def extract_candidates(
 # ---------------------------------------------------------------------------
 # serialization
 
-def load_keyword_file(path, software: str = "") -> KeywordSet:
+def load_keyword_file(path) -> KeywordSet:
     """One keyword per line; blank lines and '#' comments ignored."""
     keywords = tuple(line for _, line in content_lines(path))
-    return KeywordSet(software or "unknown", keywords)
+    return KeywordSet("unknown", keywords)
 
 
 def candidate_to_dict(candidate: CandidateText) -> dict:

@@ -111,20 +111,6 @@ def _exact_match_rate(matches) -> float:
     return sum(scored) / len(scored) if scored else 0.0
 
 
-def score_generation(predicted, gold) -> float:
-    """Exact-match rate over gold positives the detector flagged.
-
-    Both lists hold spec text or None (None = not flagged / no gold spec).
-    Match is structural equality after parsing; a prediction that fails to
-    parse is a mismatch. Gold entries must parse.
-    """
-    predicted = list(predicted)
-    gold = list(gold)
-    if len(predicted) != len(gold):
-        raise LengthMismatch(f"{len(predicted)} predictions vs {len(gold)} golds")
-    return _exact_match_rate(map(_generation_match, predicted, gold))
-
-
 @dataclass(frozen=True)
 class SampleOutcome:
     """Per-sample evaluation record feeding the aggregate report."""

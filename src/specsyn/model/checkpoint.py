@@ -6,16 +6,16 @@ Layout, all integers little-endian u32:
 
 Tensors are written in sorted name order so identical models serialize to
 identical bytes. The attention head count travels as the extra tensor
-"meta/num_heads"; every other configuration value is recovered from shapes.
+"meta/num_heads"; every other configuration value is recovered from shapes,
+and every tensor's name and shape must match the parameters of that
+configuration.
 """
 
 import struct
 
 import numpy as np
 
-from .network import (
-    CATEGORY_HIDDEN, DETECT_HIDDEN, GENERATOR_HIDDEN, Model, ModelConfig, ModelError,
-)
+from .network import Model, ModelConfig, ModelError, param_shapes
 from .vocab import Vocab
 
 MAGIC = b"SPSY"
@@ -101,10 +101,12 @@ def load_checkpoint(path) -> Model:
             heads=heads,
             max_len=tensors["embed/positions"].shape[0],
         )
-        widths = tuple(tensors[n].shape[1] for n in ("detect/w1", "category/w1", "generator/h0"))
-        expected = (DETECT_HIDDEN, CATEGORY_HIDDEN, GENERATOR_HIDDEN)
-        if widths != expected:
-            raise CheckpointError(f"checkpoint head widths {widths} are not {expected}")
+        expected = param_shapes(config, len(vocab))
+        for name in sorted(expected.keys() | tensors.keys()):
+            got = tensors[name].shape if name in tensors else "absent"
+            want = expected.get(name, "absent")
+            if got != want:
+                raise CheckpointError(f"checkpoint tensor {name}: shape {got}, expected {want}")
         return Model(config, vocab, tensors)
     except (KeyError, IndexError) as exc:
         raise CheckpointError(f"checkpoint is missing tensor data: {exc}") from exc

@@ -2,14 +2,13 @@
 
 import numpy as np
 
-from .network import Batch, LossCoefficients, Model
+from .network import Batch, Model
 
 
 def grad_check(
     model: Model,
     batch: Batch,
     weights,
-    coeffs: LossCoefficients = LossCoefficients(),
     epsilon: float = 1e-5,
     names=None,
 ) -> float:
@@ -19,7 +18,7 @@ def grad_check(
     subset) by +/- epsilon; relative error per element is
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    _, grads = model.loss_and_grads(batch, weights, coeffs)
+    _, grads = model.loss_and_grads(batch, weights)
     worst = 0.0
     for name in names if names is not None else sorted(model.params):
         tensor = model.params[name]
@@ -28,9 +27,9 @@ def grad_check(
         for j in range(flat.size):
             original = flat[j]
             flat[j] = original + epsilon
-            upper = model.losses(batch, weights, coeffs)["total"]
+            upper = model.losses(batch, weights)["total"]
             flat[j] = original - epsilon
-            lower = model.losses(batch, weights, coeffs)["total"]
+            lower = model.losses(batch, weights)["total"]
             flat[j] = original
             numeric = (upper - lower) / (2.0 * epsilon)
             scale = max(abs(analytic[j]), abs(numeric), 1e-8)

@@ -48,6 +48,8 @@ CATEGORIES = tuple(Category)
 DETECT_HIDDEN = 50
 CATEGORY_HIDDEN = 50
 GENERATOR_HIDDEN = 20
+# greedy decoding stops after this many tokens without [EOS]
+GENERATE_MAX_TOKENS = 24
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,6 @@ class ModelConfig:
             raise ModelError("all model dimensions must be positive")
         if self.d_model % self.heads:
             raise ModelError("d_model must be divisible by heads")
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    detection: float = 1.0
-    generation: float = 1.0
-    category: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -193,55 +188,59 @@ def _matgrad(x, dy):
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _init_params(config: ModelConfig, vocab_size: int, rng) -> dict[str, np.ndarray]:
-    d = config.d_model
-    g = GENERATOR_HIDDEN
-
-    def normal(fan_in, fan_out):
-        # Glorot: keeps forward activations and backward signals at a
-        # healthy scale at any width, which also keeps gradients far
-        # enough above float noise for finite-difference verification.
-        std = math.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-    embed_std = 1.0 / math.sqrt(d)
-    p = {
-        "embed/tokens": rng.normal(0.0, embed_std, size=(vocab_size, d)),
-        "embed/positions": rng.normal(0.0, embed_std, size=(config.max_len, d)),
-    }
+def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple]:
+    """Name -> shape of every parameter, in the order `_init_params` draws them."""
+    d, g = config.d_model, GENERATOR_HIDDEN
+    shapes = {"embed/tokens": (vocab_size, d), "embed/positions": (config.max_len, d)}
     for i in range(config.blocks):
         blk = f"block{i}"
-        p[f"{blk}/ln1/scale"] = np.ones(d)
-        p[f"{blk}/ln1/shift"] = np.zeros(d)
+        shapes[f"{blk}/ln1/scale"] = shapes[f"{blk}/ln1/shift"] = (d,)
         for name in ("wq", "wk", "wv", "wo"):
-            p[f"{blk}/attn/{name}"] = normal(d, d)
-        p[f"{blk}/ln2/scale"] = np.ones(d)
-        p[f"{blk}/ln2/shift"] = np.zeros(d)
-        p[f"{blk}/ffn/w1"] = normal(d, 4 * d)
-        p[f"{blk}/ffn/b1"] = np.zeros(4 * d)
-        p[f"{blk}/ffn/w2"] = normal(4 * d, d)
-        p[f"{blk}/ffn/b2"] = np.zeros(d)
-    p["final_ln/scale"] = np.ones(d)
-    p["final_ln/shift"] = np.zeros(d)
-    p["pool/w1"] = normal(d, d)
+            shapes[f"{blk}/attn/{name}"] = (d, d)
+        shapes[f"{blk}/ln2/scale"] = shapes[f"{blk}/ln2/shift"] = (d,)
+        shapes[f"{blk}/ffn/w1"] = (d, 4 * d)
+        shapes[f"{blk}/ffn/b1"] = (4 * d,)
+        shapes[f"{blk}/ffn/w2"] = (4 * d, d)
+        shapes[f"{blk}/ffn/b2"] = (d,)
+    shapes["final_ln/scale"] = shapes["final_ln/shift"] = (d,)
+    shapes["pool/w1"] = (d, d)
     for head, hidden, classes in (
         ("detect", DETECT_HIDDEN, 2),
         ("category", CATEGORY_HIDDEN, len(CATEGORIES)),
     ):
-        p[f"{head}/w1"] = normal(d, hidden)
-        p[f"{head}/b1"] = np.zeros(hidden)
-        p[f"{head}/w2"] = normal(hidden, hidden)
-        p[f"{head}/b2"] = np.zeros(hidden)
-        p[f"{head}/w3"] = normal(hidden, classes)
-        p[f"{head}/b3"] = np.zeros(classes)
-    p["generator/h0"] = normal(d, g)
-    p["generator/wx"] = normal(d, 4 * g)
-    p["generator/wh"] = normal(g, 4 * g)
-    bias = np.zeros(4 * g)
-    bias[g:2 * g] = 1.0  # forget gate starts open
-    p["generator/b"] = bias
-    p["generator/out_w"] = normal(g, vocab_size)
-    p["generator/out_b"] = np.zeros(vocab_size)
+        shapes[f"{head}/w1"] = (d, hidden)
+        shapes[f"{head}/b1"] = (hidden,)
+        shapes[f"{head}/w2"] = (hidden, hidden)
+        shapes[f"{head}/b2"] = (hidden,)
+        shapes[f"{head}/w3"] = (hidden, classes)
+        shapes[f"{head}/b3"] = (classes,)
+    shapes["generator/h0"] = (d, g)
+    shapes["generator/wx"] = (d, 4 * g)
+    shapes["generator/wh"] = (g, 4 * g)
+    shapes["generator/b"] = (4 * g,)
+    shapes["generator/out_w"] = (g, vocab_size)
+    shapes["generator/out_b"] = (vocab_size,)
+    return shapes
+
+
+def _init_params(config: ModelConfig, vocab_size: int, rng) -> dict[str, np.ndarray]:
+    embed_std = 1.0 / math.sqrt(config.d_model)
+    p = {}
+    for name, shape in param_shapes(config, vocab_size).items():
+        if name.startswith("embed/"):
+            p[name] = rng.normal(0.0, embed_std, size=shape)
+        elif len(shape) == 2:
+            # Glorot: keeps forward activations and backward signals at a
+            # healthy scale at any width, which also keeps gradients far
+            # enough above float noise for finite-difference verification.
+            std = math.sqrt(2.0 / (shape[0] + shape[1]))
+            p[name] = rng.normal(0.0, std, size=shape)
+        elif name.endswith("/scale"):
+            p[name] = np.ones(shape)  # LayerNorm gains
+        else:
+            p[name] = np.zeros(shape)
+    g = GENERATOR_HIDDEN
+    p["generator/b"][g:2 * g] = 1.0  # forget gate starts open
     return p
 
 
@@ -407,10 +406,10 @@ class Model:
         loss = loss / n_tok if n_tok else 0.0
         return loss, (h_c, h0, steps, n_tok)
 
-    def _gen_backward(self, cache, gen_in, scale, grads):
+    def _gen_backward(self, cache, gen_in, grads):
         p = self.params
         h_c, h0, steps, n_tok = cache
-        factor = scale / n_tok if n_tok else 0.0
+        factor = 1.0 / n_tok if n_tok else 0.0
         dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN))
         dc_next = np.zeros_like(dh_next)
         d_embed = grads.setdefault("embed/tokens", np.zeros_like(p["embed/tokens"]))
@@ -444,7 +443,7 @@ class Model:
 
     # ------------------------------------------------------------------ losses
 
-    def _run(self, batch: Batch, weights, coeffs: LossCoefficients, want_grads: bool):
+    def _run(self, batch: Batch, weights, want_grads: bool):
         b = batch.size
         weights = np.asarray(weights, dtype=np.float64)
         h_c, enc_cache = self._encode_batch(batch.ids, batch.mask)
@@ -481,11 +480,7 @@ class Model:
             "detection": det_loss,
             "generation": gen_loss,
             "category": cat_loss,
-            "total": (
-                coeffs.detection * det_loss
-                + coeffs.generation * gen_loss
-                + coeffs.category * cat_loss
-            ),
+            "total": det_loss + gen_loss + cat_loss,
         }
         if not want_grads:
             return losses, None
@@ -493,17 +488,16 @@ class Model:
         grads: dict[str, np.ndarray] = {}
         dh_c = np.zeros_like(h_c)
 
-        det_grad *= coeffs.detection / b
+        # each head's mean: times 1/n, which can differ from / n in the last bit
+        det_grad *= 1.0 / b
         dh_c += self._mlp_backward("detect", det_grad, det_cache, grads)
 
         if cat_rows.size:
-            cat_grad *= coeffs.category / cat_rows.size
+            cat_grad *= 1.0 / cat_rows.size
             dh_c[cat_rows] += self._mlp_backward("category", cat_grad, cat_cache, grads)
 
         if gen_rows.size:
-            dh_c[gen_rows] += self._gen_backward(
-                gen_cache, batch.gen_in[gen_rows], coeffs.generation, grads
-            )
+            dh_c[gen_rows] += self._gen_backward(gen_cache, batch.gen_in[gen_rows], grads)
 
         self._encode_backward(dh_c, enc_cache, grads)
         for name, tensor in self.params.items():
@@ -511,13 +505,11 @@ class Model:
                 grads[name] = np.zeros_like(tensor)
         return losses, grads
 
-    def losses(self, batch: Batch, weights, coeffs: LossCoefficients = LossCoefficients()):
-        return self._run(batch, weights, coeffs, want_grads=False)[0]
+    def losses(self, batch: Batch, weights):
+        return self._run(batch, weights, want_grads=False)[0]
 
-    def loss_and_grads(
-        self, batch: Batch, weights, coeffs: LossCoefficients = LossCoefficients()
-    ):
-        return self._run(batch, weights, coeffs, want_grads=True)
+    def loss_and_grads(self, batch: Batch, weights):
+        return self._run(batch, weights, want_grads=True)
 
     # ------------------------------------------------------------------ inference
 
@@ -543,10 +535,8 @@ class Model:
     def classify_category(self, h_c) -> np.ndarray:
         return self._head_probs("category", h_c)
 
-    def generate(self, h_c, tags, max_len: int = 24) -> GenerationResult:
+    def generate(self, h_c, tags) -> GenerationResult:
         """Greedy decode constrained to tag tokens present in the tag map."""
-        if max_len < 1:
-            raise ModelError("max_len must be at least 1")
         p = self.params
         allowed = np.ones(len(self.vocab), dtype=bool)
         allowed[[PAD_ID, UNK_ID, CLS_ID, BOS_ID]] = False
@@ -559,7 +549,7 @@ class Model:
         prev = BOS_ID
         tokens: list[str] = []
         truncated = True
-        for _ in range(max_len):
+        for _ in range(GENERATE_MAX_TOKENS):
             x = p["embed/tokens"][prev][None, :]
             h, c, _ = self._lstm_step(x, h, c)
             logits = (h @ p["generator/out_w"] + p["generator/out_b"])[0]

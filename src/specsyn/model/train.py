@@ -47,28 +47,31 @@ class TrainResult:
     loss_log: list[EpochLoss]
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, grad in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def build_vocab(samples) -> Vocab:
@@ -114,15 +117,14 @@ def train(
     samples,
     config: TrainConfig = TrainConfig(),
     model_config: ModelConfig = ModelConfig(),
-    vocab: Vocab | None = None,
 ) -> TrainResult:
-    """Train on labeled samples; both classes must be present."""
+    """Train on labeled samples over the vocabulary they build; both classes
+    must be present."""
     samples = list(samples)
     if not samples:
         raise ModelError("training data is empty")
     weights = detection_weights([s.label for s in samples])
-    if vocab is None:
-        vocab = build_vocab(samples)
+    vocab = build_vocab(samples)
     rows = [_encode_sample(s, vocab, model_config.max_len) for s in samples]
 
     model = Model.initialize(

@@ -363,25 +363,6 @@ def _compose_negative(
     return LabeledSample(tagged.text, tagged.tags, False, (), None, kind, None)
 
 
-def compose_negative(
-    negatives,
-    distractors,
-    rng_seed,
-    keywords: KeywordSet,
-    lexicons: Lexicons | None = None,
-) -> LabeledSample:
-    """One keyword-bearing non-spec sample; deterministic in rng_seed."""
-    if not negatives:
-        raise SynthError("no negative templates")
-    if not distractors:
-        raise SynthError("distractor pool is empty")
-    if lexicons is None:
-        lexicons = load_lexicons()
-    rng = np.random.default_rng(rng_seed)
-    template = negatives[int(rng.integers(len(negatives)))]
-    return _compose_negative(template, distractors, rng, keywords, lexicons)
-
-
 # ---------------------------------------------------------------------------
 # dataset assembly
 
@@ -393,7 +374,8 @@ class Dataset:
 
 
 def _apportion(total: int, weights) -> list:
-    """Largest-remainder allocation of `total` proportional to weights."""
+    """Largest-remainder allocation of `total` proportional to weights; ties
+    go to the earlier entry, so equal weights split `total` round-robin."""
     s = sum(weights)
     quotas = [total * w / s for w in weights]
     counts = [int(q) for q in quotas]
@@ -416,9 +398,7 @@ def _positive_plan(templates, n_pos: int) -> list:
         )
         for c, cat_alloc in zip(cats, by_cat):
             members = [s for s in of_type if s.category is c]
-            base, extra = divmod(cat_alloc, len(members))
-            for i, member in enumerate(members):
-                plan.append((member, base + (1 if i < extra else 0)))
+            plan.extend(zip(members, _apportion(cat_alloc, [1] * len(members))))
     order = {t.id: i for i, t in enumerate(templates)}
     plan.sort(key=lambda item: order[item[0].id])
     return plan
@@ -454,9 +434,9 @@ def build_dataset(
     plans = []
     for template, count in _positive_plan(library.templates, n_pos):
         plans.extend([template] * count)
-    base, extra = divmod(n_neg, len(library.negatives))
-    for i, template in enumerate(library.negatives):
-        plans.extend([template] * (base + (1 if i < extra else 0)))
+    negatives = library.negatives
+    for template, count in zip(negatives, _apportion(n_neg, [1] * len(negatives))):
+        plans.extend([template] * count)
 
     samples = []
     plan_ids = []

@@ -214,7 +214,7 @@ class TestSynthesize:
         (tmp_path / "kw.txt").write_text("user_port\nmax_rows\n", encoding="utf-8")
         seen = []
 
-        def generate(self, h_c, tags, max_len=24):
+        def generate(self, h_c, tags):
             seen.append(dict(tags))
             return GenerationResult(("use", "(", "<keyword1>", ")"), False)
 
@@ -228,6 +228,23 @@ class TestSynthesize:
         assert status == 0
         assert seen == [{"keyword1": "user_port", "num1": "1500"}]
         assert (tmp_path / "specs.spec").read_text() == "use(user_port)\n"
+
+    def test_wrong_tensor_shape_is_one_line(self, tmp_path):
+        model = Model.initialize(
+            ModelConfig(d_model=8, blocks=1, heads=2, max_len=8), Vocab(reserved_tokens())
+        )
+        model.params["detect/w2"] = np.zeros((50, 7))
+        save_checkpoint(model, tmp_path / "m.spsy")
+        (tmp_path / "doc.txt").write_text(DOC, encoding="utf-8")
+        (tmp_path / "kw.txt").write_text(KEYWORDS, encoding="utf-8")
+        proc = run_cli(
+            "synthesize", "--model", "m.spsy", "--input", "doc.txt",
+            "--keywords", "kw.txt", "--out", "specs.spec", cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "detect/w2: shape (50, 7), expected (50, 50)" in proc.stderr
+        assert not (tmp_path / "specs.spec").exists()
 
 
 class TestEval:

@@ -19,6 +19,28 @@ from specsyn.corpus import (
 
 KW = KeywordSet("mysql", ("max_rows", "user_port", "have_ssl", "have_open_ssl"))
 
+SENTENCE_STARTS = ["Set", "The", "Use", "Keep", "MySQL", "Every"]
+SENTENCE_WORDS = ["set", "the", "value", "to", "max_rows", "user_port", "above", "mb"]
+
+
+def random_sentence(rng: random.Random) -> str:
+    """A capitalized word, then words, decimals, x.y.z versions, dotted
+    names and 'e.g. Word' asides in any order, then '.', '?' or '!'."""
+    parts = [rng.choice(SENTENCE_STARTS)]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            parts.append(f"{rng.randint(0, 999)}.{rng.randint(0, 99)}")
+        elif kind == 1:
+            parts.append(".".join(str(rng.randint(0, 20)) for _ in range(3)))
+        elif kind == 2:
+            parts.append(f"{rng.choice(['e.g.', 'i.e.'])} {rng.choice(SENTENCE_STARTS)}")
+        elif kind == 3:
+            parts.append(f"{rng.choice(SENTENCE_WORDS)}.{rng.choice(SENTENCE_STARTS)}")
+        else:
+            parts.append(rng.choice(SENTENCE_WORDS))
+    return " ".join(parts) + rng.choice(".?!")
+
 
 class TestSentenceSplitting:
     def test_two_periods(self):
@@ -33,6 +55,12 @@ class TestSentenceSplitting:
             "The value 3.14 is fine.",
             "Use it.",
         ]
+
+    def test_joined_sentences_split_back(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            sentences = [random_sentence(rng) for _ in range(rng.randint(1, 5))]
+            assert split_sentences(" ".join(sentences)) == sentences
 
     def test_abbreviations_guarded(self):
         text = "Options, e.g. Verbose ones, exist."
@@ -188,7 +216,7 @@ class TestKeywordSet:
     def test_keyword_file(self, tmp_path):
         path = tmp_path / "kw.txt"
         path.write_text("# params\nmax_rows\n\nuser_port\n", encoding="utf-8")
-        ks = corpus.load_keyword_file(path, software="mysql")
+        ks = corpus.load_keyword_file(path)
         assert ks.keywords == ("max_rows", "user_port")
 
 

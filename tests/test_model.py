@@ -11,7 +11,6 @@ from specsyn.model import (
     CATEGORIES,
     CLS_ID,
     EOS_ID,
-    LossCoefficients,
     Model,
     ModelConfig,
     ModelError,
@@ -34,6 +33,7 @@ from specsyn.model import (
     weighted_ce,
 )
 from specsyn.model.checkpoint import CheckpointError
+from specsyn.model.network import GENERATE_MAX_TOKENS
 from specsyn.synthdata import LabeledSample
 
 SMALL = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
@@ -105,7 +105,7 @@ class TestVocab:
 
     def test_tag_beyond_slot_limit_is_unknown(self):
         v = Vocab.build(["use <num12> here"])
-        assert "<num12>" not in v
+        assert "<num12>" not in v.tokens
         assert v.id_of("<num12>") == UNK_ID
 
     def test_unknown_token_maps_to_unk(self, vocab):
@@ -117,7 +117,7 @@ class TestVocab:
 
     def test_targets_contribute_tokens(self):
         v = Vocab.build([], [("<keyword1>", ">", "<num1>")])
-        assert ">" in v
+        assert ">" in v.tokens
 
     def test_constructor_rejects_wrong_reserved_prefix(self):
         with pytest.raises(ModelError):
@@ -221,14 +221,14 @@ class TestEncoder:
             assert np.all(np.isfinite(h))
 
     def test_pad_content_never_changes_outputs(self, model, batch, weights):
-        losses, grads = model.loss_and_grads(batch, weights, LossCoefficients())
+        losses, grads = model.loss_and_grads(batch, weights)
         alt_ids = batch.ids.copy()
         alt_ids[~batch.mask] = 7  # arbitrary real token in the pad slots
         alt = Batch(
             alt_ids, batch.mask, batch.labels, batch.cat_ids,
             batch.gen_in, batch.gen_out, batch.gen_mask,
         )
-        alt_losses, alt_grads = model.loss_and_grads(alt, weights, LossCoefficients())
+        alt_losses, alt_grads = model.loss_and_grads(alt, weights)
         assert losses == alt_losses
         for name, g in grads.items():
             assert np.array_equal(g, alt_grads[name])
@@ -247,7 +247,7 @@ class TestGenerate:
         m = Model.initialize(SMALL, vocab, rng_seed=2)
         m.params["generator/out_b"][vocab.id_of("<bool1>")] = 50.0
         h = np.zeros(SMALL.d_model)
-        result = m.generate(h, {"keyword1": "a", "num1": "1"}, max_len=8)
+        result = m.generate(h, {"keyword1": "a", "num1": "1"})
         assert "<bool1>" not in result.tokens
 
     def test_truncation_flag(self, vocab):
@@ -256,9 +256,9 @@ class TestGenerate:
         m.params["generator/out_w"][:] = 0.0
         m.params["generator/out_b"][vocab.id_of("and")] = 50.0
         h = np.zeros(SMALL.d_model)
-        result = m.generate(h, {"keyword1": "a"}, max_len=4)
+        result = m.generate(h, {"keyword1": "a"})
         assert result.truncated
-        assert list(result.tokens) == ["and"] * 4
+        assert list(result.tokens) == ["and"] * GENERATE_MAX_TOKENS
 
     def test_immediate_eos_is_not_truncated(self, vocab):
         m = Model.initialize(SMALL, vocab, rng_seed=2)
@@ -376,7 +376,7 @@ class TestTraining:
     def test_nan_loss_raises_divergence(self, monkeypatch):
         from specsyn.model import DivergenceError
 
-        def poisoned(self, batch, weights, coeffs=LossCoefficients()):
+        def poisoned(self, batch, weights):
             losses = {
                 "total": float("nan"), "detection": 0.0,
                 "generation": 0.0, "category": 0.0,
@@ -441,7 +441,33 @@ class TestCheckpoint:
         m.params["detect/w1"] = np.zeros((SMALL.d_model, 40))
         path = tmp_path / "m.spsy"
         save_checkpoint(m, path)
-        with pytest.raises(CheckpointError, match="head widths"):
+        with pytest.raises(
+            CheckpointError,
+            match=r"detect/w1: shape \(16, 40\), expected \(16, 50\)",
+        ):
+            load_checkpoint(path)
+
+    def test_every_tensor_shape_is_checked(self, vocab, tmp_path):
+        path = tmp_path / "m.spsy"
+        for name in Model.initialize(SMALL, vocab).params:
+            m = Model.initialize(SMALL, vocab)
+            m.params[name] = np.zeros(m.params[name].shape + (1,))
+            save_checkpoint(m, path)
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint(path)
+            assert name in str(info.value)
+
+    def test_missing_and_extra_tensors_rejected(self, vocab, tmp_path):
+        path = tmp_path / "m.spsy"
+        m = Model.initialize(SMALL, vocab)
+        del m.params["detect/b2"]
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError, match="detect/b2: shape absent"):
+            load_checkpoint(path)
+        m = Model.initialize(SMALL, vocab)
+        m.params["detect/w4"] = np.zeros((2, 2))
+        save_checkpoint(m, path)
+        with pytest.raises(CheckpointError, match="detect/w4: .* expected absent"):
             load_checkpoint(path)
 
 
@@ -456,32 +482,18 @@ class TestGradients:
         for ids, mask in zip(batch.ids, batch.mask):
             h = model.encode(ids[mask])
             probs.append((model.detect(h), model.classify_category(h)))
-        det = model.losses(batch, weights, LossCoefficients(1.0, 0.0, 0.0))
+        losses = model.losses(batch, weights)
         expected = np.mean([
             weighted_ce(p_det, label, weights)
             for (p_det, _), label in zip(probs, batch.labels)
         ])
-        assert det["total"] == pytest.approx(expected, rel=1e-12, abs=0)
-        assert det["detection"] == det["total"]
+        assert losses["detection"] == pytest.approx(expected, rel=1e-12, abs=0)
 
-        cat = model.losses(batch, weights, LossCoefficients(0.0, 0.0, 1.0))
         expected = np.mean([
             weighted_ce(p_cat, c, np.ones(len(CATEGORIES)))
             for (_, p_cat), c in zip(probs, batch.cat_ids) if c >= 0
         ])
-        assert cat["total"] == pytest.approx(expected, rel=1e-12, abs=0)
-        assert cat["category"] == cat["total"]
-
-    def test_zero_coefficients_zero_gradients(self, model, batch, weights):
-        coeffs = LossCoefficients(detection=0.0, generation=0.0, category=0.0)
-        losses, grads = model.loss_and_grads(batch, weights, coeffs)
-        assert losses["total"] == 0.0
-        for g in grads.values():
-            assert np.all(g == 0.0)
-
-    def test_single_coefficient_isolates_head(self, model, batch, weights):
-        only_det = LossCoefficients(detection=1.0, generation=0.0, category=0.0)
-        _, grads = model.loss_and_grads(batch, weights, only_det)
-        assert np.all(grads["generator/wh"] == 0.0)
-        assert np.all(grads["category/w1"] == 0.0)
-        assert np.any(grads["detect/w1"] != 0.0)
+        assert losses["category"] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert losses["total"] == (
+            losses["detection"] + losses["generation"] + losses["category"]
+        )

@@ -16,7 +16,6 @@ from specsyn.synthdata import (
     SynthError,
     TemplateError,
     build_dataset,
-    compose_negative,
     compose_positive,
 )
 from specsyn.tagger import detag, load_lexicons
@@ -160,27 +159,31 @@ class TestComposePositive:
             compose_positive(library.templates[0], (), 0, library.keywords, lex)
 
 
+def negative_sample(template, distractors, seed, keywords, lex):
+    return sd._compose_negative(
+        template, distractors, np.random.default_rng(seed), keywords, lex
+    )
+
+
 class TestComposeNegative:
     def test_negative_shape(self, library, distractors, lex):
         for seed in range(20):
-            s = compose_negative(
-                library.negatives, distractors, seed, library.keywords, lex
-            )
+            template = library.negatives[seed % len(library.negatives)]
+            s = negative_sample(template, distractors, seed, library.keywords, lex)
             assert s.label is False
             assert s.target == ()
             assert s.category is None
             assert "<keyword1>" in s.text
 
     def test_deterministic(self, library, distractors, lex):
-        a = compose_negative(library.negatives, distractors, 5, library.keywords, lex)
-        b = compose_negative(library.negatives, distractors, 5, library.keywords, lex)
-        assert a == b
+        for template in library.negatives:
+            a = negative_sample(template, distractors, 5, library.keywords, lex)
+            b = negative_sample(template, distractors, 5, library.keywords, lex)
+            assert a == b
 
     def test_page_reference_form(self, library, distractors, lex):
         t = next(n for n in library.negatives if n.id == "neg-page-ref")
-        s = sd._compose_negative(
-            t, distractors, np.random.default_rng(3), library.keywords, lex
-        )
+        s = negative_sample(t, distractors, 3, library.keywords, lex)
         assert s.label is False
         assert "see page <num1> for details of <keyword1>" in s.text
 
