@@ -4,11 +4,13 @@ A config file is parsed into an ordered key -> value map, then every
 specification is evaluated against it. Quantitative rules coerce the
 observed string with the same number and boolean conventions the tagger
 uses on text, so specs mined from prose apply to files directly.
-Magnitudes are compared as written; units are never converted.
+Magnitudes are compared as written; units are never converted, and a
+value whose unit differs from the rule's is reported, not compared.
 
 Connectives compose left to right: an AND node is violated when either
 side is, an OR node only when both sides are. Advisory rules (use,
-recommend, prefer) report findings but never make a spec "violated".
+recommend, prefer) and unit mismatches report findings but never make a
+spec "violated".
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import enum
 import ipaddress
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from urllib.parse import urlparse
 
 from .dsl import (
@@ -42,7 +45,7 @@ class DecodeError(ConfigError):
     """Configuration bytes are not valid UTF-8."""
 
 
-_UNIT_TAIL_RE = re.compile(rf"\s*(?:{UNIT_RE.pattern})?\s*$")
+_UNIT_TAIL_RE = re.compile(rf"\s*({UNIT_RE.pattern})?\s*$")
 
 
 class ConfigFormat(enum.Enum):
@@ -57,7 +60,7 @@ class MalformedLine:
     reason: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ConfigEntry:
     key: str
     value: str
@@ -65,35 +68,72 @@ class ConfigEntry:
     earlier_lines: tuple[int, ...] = ()
 
 
+_LINE = attrgetter("line")
+
+
 @dataclass
 class ConfigMap:
-    """Parsed configuration: unique keys, later duplicates override."""
+    """Parsed configuration: unique keys, later duplicates override.
+
+    `put` indexes each new key once, so `lookup` costs a few dict probes
+    instead of a scan of the file: a key already in normal form (lower
+    case, no leading `-`) is found through `entries` itself, any other
+    key through `_folded`, and every key through each of its dotted
+    suffixes in `_suffix`. A name that several keys share maps to the
+    list of their entries, in file order.
+    """
 
     entries: dict[str, ConfigEntry] = field(default_factory=dict)
     malformed: list[MalformedLine] = field(default_factory=list)
+    _folded: dict[str, list[ConfigEntry]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _suffix: dict[str, ConfigEntry | list[ConfigEntry]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def put(self, key: str, value: str, line: int) -> None:
-        existing = self.entries.get(key)
-        if existing is None:
-            self.entries[key] = ConfigEntry(key, value, line)
-        else:
-            self.entries[key] = ConfigEntry(
-                key, value, line, existing.earlier_lines + (existing.line,)
-            )
+        entry = self.entries.get(key)
+        if entry is not None:
+            entry.earlier_lines += (entry.line,)
+            entry.value, entry.line = value, line
+            return
+        entry = self.entries[key] = ConfigEntry(key, value, line)
+        lowered = key.lower()
+        normal = lowered.lstrip("-")
+        if normal != key:
+            self._folded.setdefault(normal, []).append(entry)
+        dot = lowered.find(".")
+        while dot != -1:
+            suffix = lowered[dot + 1:]
+            # one entry is stored bare: most names belong to a single key
+            known = self._suffix.setdefault(suffix, entry)
+            if known is not entry:
+                if type(known) is ConfigEntry:
+                    self._suffix[suffix] = [known, entry]
+                else:
+                    known.append(entry)
+            dot = lowered.find(".", dot + 1)
 
-    def lookup(self, keyword: str) -> ConfigEntry | None:
-        """Find a rule keyword: exact match first, then a `.keyword`
-        suffix (so `max_rows` finds `mysqld.max_rows`); case-insensitive,
-        and a leading option prefix `--` on the keyword is ignored."""
+    def lookup(self, keyword: str) -> list[ConfigEntry]:
+        """Every entry a rule keyword names, in line order; empty if none.
+
+        Exact matches win: case-insensitive, with a leading option prefix
+        `--` ignored on both sides. Otherwise every key ending in
+        `.keyword` matches, so `max_rows` finds `mysqld.max_rows` and
+        `client.max_rows` alike.
+        """
         wanted = keyword.lower().lstrip("-")
-        for entry in self.entries.values():
-            if entry.key.lower().lstrip("-") == wanted:
-                return entry
-        suffix = "." + wanted
-        for entry in self.entries.values():
-            if entry.key.lower().endswith(suffix):
-                return entry
-        return None
+        exact = self.entries.get(wanted)
+        folded = self._folded.get(wanted)
+        if folded is not None:
+            return sorted(folded if exact is None else [exact, *folded], key=_LINE)
+        if exact is not None:
+            return [exact]
+        found = self._suffix.get(wanted)
+        if found is None:
+            return []
+        return [found] if type(found) is ConfigEntry else sorted(found, key=_LINE)
 
 
 def _lines_of(source) -> list[str]:
@@ -144,16 +184,24 @@ def parse_config(source, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> Confi
 # ---------------------------------------------------------------------------
 # value coercion
 
+def _read_number(raw: str) -> tuple[float, str | None] | None:
+    """Leading magnitude and trailing unit of the observed string, or None."""
+    text = raw.strip()
+    m = NUMBER_RE.match(text)
+    tail = None if m is None else _UNIT_TAIL_RE.fullmatch(text, m.end())
+    if tail is None:
+        return None
+    return float(m.group().replace(",", "")), tail.group(1)
+
+
 def coerce_number(raw: str) -> float | None:
     """Leading magnitude of the observed string, or None.
 
     Thousands separators are stripped and a trailing unit token is
     tolerated but otherwise ignored ("512 MB" -> 512.0).
     """
-    m = NUMBER_RE.match(raw.strip())
-    if m is None or not _UNIT_TAIL_RE.fullmatch(raw.strip(), m.end()):
-        return None
-    return float(m.group().replace(",", ""))
+    number = _read_number(raw)
+    return None if number is None else number[0]
 
 
 def coerce_bool(raw: str, lexicons: Lexicons) -> bool | None:
@@ -238,6 +286,11 @@ class Verdict(enum.Enum):
     MISSING_KEY = "MissingKey"
     FORMAT_MISMATCH = "FormatMismatch"
     ADVISORY_ONLY = "AdvisoryOnly"
+    UNIT_MISMATCH = "UnitMismatch"
+
+
+# findings that are reported but never make a specification violated
+_SOFT = frozenset({Verdict.ADVISORY_ONLY, Verdict.UNIT_MISMATCH})
 
 
 @dataclass(frozen=True)
@@ -250,7 +303,7 @@ class Violation:
 
     @property
     def hard(self) -> bool:
-        return self.verdict is not Verdict.ADVISORY_ONLY
+        return self.verdict not in _SOFT
 
     def to_dict(self) -> dict:
         from .dsl import print_spec, single
@@ -264,6 +317,18 @@ class Violation:
         }
 
 
+def _units_clash(rule: Rule, unit: str | None) -> bool:
+    """The observed unit is none of the rule's, and both sides name one.
+
+    A rule names a unit only when each of its numbers does; a rule or a
+    value without a unit compares magnitudes alone.
+    """
+    if unit is None:
+        return False
+    units = {v.unit and v.unit.lower() for v in rule.values if isinstance(v, Number)}
+    return bool(units) and None not in units and unit.lower() not in units
+
+
 def _quantitative(rule: Rule, entry, lexicons) -> Violation | None:
     observed = entry.value
     rel = rule.relation
@@ -271,10 +336,14 @@ def _quantitative(rule: Rule, entry, lexicons) -> Violation | None:
     def bad(verdict):
         return Violation(rule, entry.key, observed, entry.line, verdict)
 
+    number = _read_number(observed)
+    if number is not None and _units_clash(rule, number[1]):
+        return bad(Verdict.UNIT_MISMATCH)
+
     if rel in (Relation.GT, Relation.LT, Relation.INTERVAL):
-        x = coerce_number(observed)
-        if x is None:
+        if number is None:
             return bad(Verdict.WRONG_TYPE)
+        x = number[0]
         if rel is Relation.GT:
             ok = x > rule.values[0].magnitude
         elif rel is Relation.LT:
@@ -301,41 +370,44 @@ def _quantitative(rule: Rule, entry, lexicons) -> Violation | None:
     return None if ok else bad(Verdict.VALUE_OUT_OF_RANGE)
 
 
-def evaluate_rule(rule: Rule, config: ConfigMap, lexicons: Lexicons) -> Violation | None:
-    """At most one finding per rule; None when the rule is satisfied."""
-    entry = config.lookup(rule.keyword)
+def evaluate_rule(rule: Rule, config: ConfigMap, lexicons: Lexicons) -> list[Violation]:
+    """Every finding of one rule, in line order; empty when it holds.
+
+    A keyword that names several entries (the same key in several INI
+    sections) is checked at each of them, so no verdict depends on the
+    order of the sections.
+    """
+    entries = config.lookup(rule.keyword)
     rel = rule.relation
 
     if rel in (Relation.USE, Relation.RECOMMEND):
-        if entry is None:
-            return Violation(rule, rule.keyword, None, None, Verdict.ADVISORY_ONLY)
-        return None
+        return [] if entries else [Violation(rule, rule.keyword, None, None, Verdict.ADVISORY_ONLY)]
     if rel is Relation.WITH:
         partner = rule.values[0].name
-        if entry is not None and config.lookup(partner) is None:
-            return Violation(rule, partner, None, None, Verdict.MISSING_KEY)
-        return None
+        if entries and not config.lookup(partner):
+            return [Violation(rule, partner, None, None, Verdict.MISSING_KEY)]
+        return []
     if rel is Relation.PREFER:
         # the disfavored alternative is set while the preferred key is not
-        other = config.lookup(rule.values[0].name)
-        if other is not None and entry is None:
-            return Violation(
-                rule, rule.keyword, other.value, other.line, Verdict.ADVISORY_ONLY
-            )
-        return None
+        others = [] if entries else config.lookup(rule.values[0].name)
+        return [
+            Violation(rule, rule.keyword, other.value, other.line, Verdict.ADVISORY_ONLY)
+            for other in others
+        ]
     if rel is Relation.STRING_FORMAT:
-        if entry is None:
-            return None
         checker = _FORMAT_CHECKERS.get(rule.values[0].name.strip().lower())
-        if checker is None or checker(entry.value):
-            return None
-        return Violation(
-            rule, entry.key, entry.value, entry.line, Verdict.FORMAT_MISMATCH
-        )
+        if checker is None:
+            return []
+        return [
+            Violation(rule, entry.key, entry.value, entry.line, Verdict.FORMAT_MISMATCH)
+            for entry in entries
+            if not checker(entry.value)
+        ]
 
-    if entry is None:
-        return Violation(rule, rule.keyword, None, None, Verdict.MISSING_KEY)
-    return _quantitative(rule, entry, lexicons)
+    if not entries:
+        return [Violation(rule, rule.keyword, None, None, Verdict.MISSING_KEY)]
+    findings = (_quantitative(rule, entry, lexicons) for entry in entries)
+    return [finding for finding in findings if finding is not None]
 
 
 def check_spec(
@@ -344,33 +416,29 @@ def check_spec(
     """Evaluate one specification: (violated, findings).
 
     Hard findings fold through the connectives (AND keeps either side's,
-    OR keeps them only when both sides are violated); advisory findings
-    are always reported and never affect the violated flag.
+    OR keeps them only when both sides are violated); advisory and unit
+    mismatch findings are always reported and never affect the violated
+    flag.
     """
     if lexicons is None:
         lexicons = load_lexicons()
-    advisories: list[Violation] = []
+    soft: list[Violation] = []
 
-    def leaf(rule: Rule) -> tuple[bool, list[Violation]]:
-        finding = evaluate_rule(rule, config, lexicons)
-        if finding is None:
-            return False, []
-        if not finding.hard:
-            advisories.append(finding)
-            return False, []
-        return True, [finding]
+    def hard_findings(rule: Rule) -> list[Violation]:
+        hard = []
+        for finding in evaluate_rule(rule, config, lexicons):
+            (hard if finding.hard else soft).append(finding)
+        return hard
 
-    status, findings = leaf(spec.rules[0])
+    # a node is violated exactly when it keeps a hard finding
+    findings = hard_findings(spec.rules[0])
     for connective, rule in zip(spec.connectives, spec.rules[1:]):
-        s2, f2 = leaf(rule)
+        more = hard_findings(rule)
         if connective is Connective.AND:
-            status = status or s2
-            findings = findings + f2
+            findings = findings + more
         else:
-            both = status and s2
-            findings = findings + f2 if both else []
-            status = both
-    return status, findings + advisories
+            findings = findings + more if findings and more else []
+    return bool(findings), findings + soft
 
 
 def check(

@@ -6,9 +6,9 @@ Layout, all integers little-endian u32:
 
 Tensors are written in sorted name order so identical models serialize to
 identical bytes. The attention head count travels as the extra tensor
-"meta/num_heads"; every other configuration value is recovered from shapes,
-and every tensor's name and shape must match the parameters of that
-configuration.
+"meta/num_heads", which must hold a whole number; every other
+configuration value is recovered from shapes, and every tensor's name and
+shape must match the parameters of that configuration.
 """
 
 import struct
@@ -76,6 +76,13 @@ class _Reader:
             raise CheckpointError("corrupt string in checkpoint") from exc
 
 
+def _meta_int(tensors: dict[str, np.ndarray], name: str) -> int:
+    value = float(tensors.pop(name).reshape(-1)[0])
+    if not value.is_integer():  # also rejects NaN and the infinities
+        raise CheckpointError(f"checkpoint {name} is {value}, expected a whole number")
+    return int(value)
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as stream:
         reader = _Reader(stream)
@@ -94,11 +101,10 @@ def load_checkpoint(path) -> Model:
             tensors[name] = data.reshape(shape).copy()
 
     try:
-        heads = int(tensors.pop("meta/num_heads").reshape(-1)[0])
         config = ModelConfig(
             d_model=tensors["pool/w1"].shape[0],
             blocks=sum(1 for n in tensors if n.endswith("/attn/wq")),
-            heads=heads,
+            heads=_meta_int(tensors, "meta/num_heads"),
             max_len=tensors["embed/positions"].shape[0],
         )
         expected = param_shapes(config, len(vocab))

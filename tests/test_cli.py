@@ -2,6 +2,7 @@
 must replace a model method runs `specsyn.cli.main` in this process."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,28 @@ class TestSynthesize:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1
         assert "detect/w2: shape (50, 7), expected (50, 50)" in proc.stderr
+        assert not (tmp_path / "specs.spec").exists()
+
+    @pytest.mark.parametrize("heads", [float("nan"), float("inf"), 2.5])
+    def test_non_integer_head_count_is_one_line(self, tmp_path, heads):
+        model = Model.initialize(
+            ModelConfig(d_model=8, blocks=1, heads=2, max_len=8), Vocab(reserved_tokens())
+        )
+        save_checkpoint(model, tmp_path / "m.spsy")
+        data = bytearray((tmp_path / "m.spsy").read_bytes())
+        # the tensor name, then ndim 1 and dim 1 as u32s, then the 8 data bytes
+        at = data.index(b"meta/num_heads") + len("meta/num_heads") + 8
+        data[at:at + 8] = struct.pack("<d", heads)
+        (tmp_path / "m.spsy").write_bytes(bytes(data))
+        (tmp_path / "doc.txt").write_text(DOC, encoding="utf-8")
+        (tmp_path / "kw.txt").write_text(KEYWORDS, encoding="utf-8")
+        proc = run_cli(
+            "synthesize", "--model", "m.spsy", "--input", "doc.txt",
+            "--keywords", "kw.txt", "--out", "specs.spec", cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert f"meta/num_heads is {heads}, expected a whole number" in proc.stderr
         assert not (tmp_path / "specs.spec").exists()
 
 

@@ -1,7 +1,12 @@
 import io
 import json
+import random
+from collections import Counter
+from operator import attrgetter
 
 import pytest
+
+import randspec
 
 from specsyn.conformance import (
     ConfigFormat,
@@ -18,7 +23,7 @@ from specsyn.conformance import (
     parse_config,
     render_violations,
 )
-from specsyn.dsl import parse_spec
+from specsyn.dsl import parse_spec, print_spec
 from specsyn.tagger import load_lexicons
 
 LEX = load_lexicons()
@@ -30,6 +35,10 @@ def kv(text):
 
 def rule_of(text):
     return parse_spec(text).rules[0]
+
+
+def values_of(config, keyword):
+    return [entry.value for entry in config.lookup(keyword)]
 
 
 class TestParseConfig:
@@ -107,26 +116,40 @@ class TestParseConfig:
 class TestLookup:
     def test_exact_match(self):
         cfg = kv("max_rows = 5\n")
-        assert cfg.lookup("max_rows").value == "5"
+        assert values_of(cfg, "max_rows") == ["5"]
 
     def test_case_insensitive(self):
         cfg = kv("Max_Rows = 5\n")
-        assert cfg.lookup("max_rows").value == "5"
+        assert values_of(cfg, "max_rows") == ["5"]
 
     def test_suffix_match_through_sections(self):
         cfg = parse_config("[mysqld]\nmax_rows=5\n", ConfigFormat.INI)
-        assert cfg.lookup("max_rows").value == "5"
+        assert values_of(cfg, "max_rows") == ["5"]
 
     def test_exact_wins_over_suffix(self):
         cfg = parse_config("max_rows=1\n[s]\nmax_rows=2\n", ConfigFormat.INI)
-        assert cfg.lookup("max_rows").value == "1"
+        assert values_of(cfg, "max_rows") == ["1"]
 
     def test_option_prefix_ignored(self):
         cfg = kv("binlog = on\n")
-        assert cfg.lookup("--binlog").value == "on"
+        assert values_of(cfg, "--binlog") == ["on"]
 
     def test_missing_returns_none(self):
-        assert kv("a = 1\n").lookup("b") is None
+        assert kv("a = 1\n").lookup("b") == []
+
+    def test_every_suffix_match_in_line_order(self):
+        text = "[b]\nport=1\n[a]\nport=2\nlog.port=3\n[b]\nport=4\n"
+        cfg = parse_config(text, ConfigFormat.INI)
+        assert [(e.key, e.line) for e in cfg.lookup("port")] == [
+            ("a.port", 4), ("a.log.port", 5), ("b.port", 7),
+        ]
+        assert values_of(cfg, "log.port") == ["3"]
+
+    def test_later_duplicate_is_what_lookup_finds(self):
+        cfg = parse_config("[s]\nport=1\nPort=7\nport=2\n", ConfigFormat.INI)
+        assert [(e.key, e.value, e.line, e.earlier_lines) for e in cfg.lookup("port")] == [
+            ("s.Port", "7", 3, ()), ("s.port", "2", 4, (2,)),
+        ]
 
 
 class TestCoercion:
@@ -154,9 +177,9 @@ class TestCoercion:
 
 
 def verdict_of(spec_text, config_text):
-    cfg = kv(config_text)
-    finding = evaluate_rule(rule_of(spec_text), cfg, LEX)
-    return None if finding is None else finding.verdict
+    findings = evaluate_rule(rule_of(spec_text), kv(config_text), LEX)
+    assert len(findings) <= 1
+    return findings[0].verdict if findings else None
 
 
 class TestRuleSemantics:
@@ -217,7 +240,7 @@ class TestRuleSemantics:
         assert verdict_of("with ( ssl_ca , ssl_cert )", "other = 1\n") is None
 
     def test_with_violation_names_the_partner(self):
-        finding = evaluate_rule(
+        (finding,) = evaluate_rule(
             rule_of("with ( ssl_ca , ssl_cert )"), kv("ssl_ca = /a\n"), LEX
         )
         assert finding.key == "ssl_cert"
@@ -371,3 +394,165 @@ class TestCheck:
         assert "ValueOutOfRange" in text
         assert "user_port" in text
         assert render_violations([]) == "no violations"
+
+
+class TestSectionOrder:
+    CLIENT = "[client]\nport = 80\n"
+    MYSQLD = "[mysqld]\nport = 3306\n"
+
+    @pytest.mark.parametrize("order", ["client first", "mysqld first"])
+    def test_violation_found_in_either_order(self, order):
+        text = self.CLIENT + self.MYSQLD if order == "client first" else self.MYSQLD + self.CLIENT
+        findings = check(parse_config(text, ConfigFormat.INI), [parse_spec("port > 1500")])
+        assert [(v.key, v.observed, v.verdict) for v in findings] == [
+            ("client.port", "80", Verdict.VALUE_OUT_OF_RANGE)
+        ]
+
+    def test_each_failing_entry_reported_in_line_order(self):
+        text = "[a]\nport = 1\n[b]\nport = 2000\n[c]\nport = 3\n"
+        findings = check(parse_config(text, ConfigFormat.INI), [parse_spec("port > 1500")])
+        assert [(v.key, v.line) for v in findings] == [("a.port", 2), ("c.port", 6)]
+
+    def test_format_checked_in_every_section(self):
+        text = "[a]\ndatadir = /srv\n[b]\ndatadir = rel\n"
+        spec = parse_spec('format ( datadir , "absolute path" )')
+        findings = check(parse_config(text, ConfigFormat.INI), [spec])
+        assert [(v.key, v.verdict) for v in findings] == [("b.datadir", Verdict.FORMAT_MISMATCH)]
+
+    def test_prefer_reports_each_disfavored_entry(self):
+        text = "[a]\nutf8 = on\n[b]\nutf8 = off\n"
+        spec = parse_spec("prefer ( utf8mb4 , utf8 )")
+        findings = check(parse_config(text, ConfigFormat.INI), [spec])
+        assert [(v.observed, v.line) for v in findings] == [("on", 2), ("off", 4)]
+
+
+class TestUnits:
+    def test_unit_disagreement_is_a_soft_unit_mismatch(self):
+        findings = check(kv("innodb_buffer = 1 gb\n"), [parse_spec("innodb_buffer > 100 mb")])
+        assert [(v.verdict, v.observed) for v in findings] == [(Verdict.UNIT_MISMATCH, "1 gb")]
+        assert not has_hard_violations(findings)
+        assert findings[0].to_dict()["verdict"] == "UnitMismatch"
+
+    def test_units_compare_ignoring_case(self):
+        assert verdict_of("innodb_buffer > 100 mb", "innodb_buffer = 200 MB\n") is None
+        assert verdict_of("innodb_buffer > 100 mb", "innodb_buffer = 1 MB\n") == Verdict.VALUE_OUT_OF_RANGE
+
+    def test_a_side_without_unit_compares_magnitudes(self):
+        assert verdict_of("innodb_buffer > 100 mb", "innodb_buffer = 50\n") == Verdict.VALUE_OUT_OF_RANGE
+        assert verdict_of("innodb_buffer > 100 mb", "innodb_buffer = 500\n") is None
+        assert verdict_of("innodb_buffer > 100", "innodb_buffer = 1 gb\n") == Verdict.VALUE_OUT_OF_RANGE
+
+    def test_a_passing_magnitude_in_another_unit_is_still_reported(self):
+        assert verdict_of("innodb_buffer > 100 mb", "innodb_buffer = 500 gb\n") == Verdict.UNIT_MISMATCH
+
+    @pytest.mark.parametrize("spec", [
+        "wait < 60 s", "wait in [1 s, 60 s]", "wait == 30 s", "wait != 30 s",
+        "wait in { 30 s , 60 s }",
+    ])
+    def test_every_numeric_relation(self, spec):
+        assert verdict_of(spec, "wait = 30 ms\n") == Verdict.UNIT_MISMATCH
+        assert verdict_of(spec, "wait = auto\n") == Verdict.WRONG_TYPE
+
+    def test_a_set_member_without_unit_compares_magnitudes(self):
+        assert verdict_of("wait in { 30 , 60 s }", "wait = 30 ms\n") is None
+
+    def test_unit_mismatch_never_violates_a_spec(self):
+        status, findings = check_spec(
+            parse_spec("a > 10 mb and b > 10"), kv("a = 1 gb\nb = 20\n"), LEX
+        )
+        assert not status
+        assert [f.verdict for f in findings] == [Verdict.UNIT_MISMATCH]
+
+
+# ---------------------------------------------------------------------------
+# seeded properties, in the style of tests/randspec.py
+
+SEGMENTS = ("port", "Port", "PORT", "max_rows", "log", "level", "ssl", "Log")
+SECTIONS = ("client", "Client", "mysqld", "log", "a.b", "A.B", "server")
+VALUES = (
+    "80", "3306", "1,024", "1 gb", "100 mb", "512 MB", "-2.5", "75%", "on", "off",
+    "true", "/var/lib", "rel/path", "utf8mb4", "ops@example.com", "10.0.0.1", "auto", "",
+)
+
+
+def random_key(rng: random.Random) -> str:
+    prefix = rng.choice(("", "", "", "-", "--"))
+    return prefix + ".".join(rng.choice(SEGMENTS) for _ in range(rng.randint(1, 3)))
+
+
+def random_keyword(rng: random.Random) -> str:
+    """A probe that is often a whole key, a dotted tail of one, or absent."""
+    parts = random_key(rng).lstrip("-").split(".")
+    keyword = ".".join(parts[rng.randrange(len(parts)):])
+    return rng.choice(("", "--")) + rng.choice((keyword, keyword.upper(), "absent"))
+
+
+def random_config_text(rng: random.Random, fmt: ConfigFormat) -> str:
+    bare = rng.randint(0, 3) if fmt is ConfigFormat.INI else rng.randint(1, 8)
+    lines = [f"{random_key(rng)} = {rng.choice(VALUES)}" for _ in range(bare)]
+    if fmt is ConfigFormat.INI:
+        for _ in range(rng.randint(0, 4)):
+            lines.append(f"[{rng.choice(SECTIONS)}]")
+            lines += [f"{random_key(rng)} = {rng.choice(VALUES)}" for _ in range(rng.randint(0, 4))]
+    return "\n".join(lines) + "\n"
+
+
+def scan_lookup(config: ConfigMap, keyword: str) -> list:
+    """The former `ConfigMap.lookup`, two scans over every entry: exact
+    match first, then a `.keyword` suffix; each tier keeps every match, in
+    line order."""
+    wanted = keyword.lower().lstrip("-")
+    entries = config.entries.values()
+    found = [e for e in entries if e.key.lower().lstrip("-") == wanted]
+    if not found:
+        found = [e for e in entries if e.key.lower().endswith("." + wanted)]
+    return sorted(found, key=attrgetter("line"))
+
+
+def sectioned(rng: random.Random) -> tuple[str, list[str]]:
+    """A preamble of bare keys and INI sections with distinct names."""
+    preamble = "".join(f"{random_key(rng)} = {rng.choice(VALUES)}\n" for _ in range(rng.randint(0, 2)))
+    names = rng.sample(SECTIONS + tuple(k.upper() for k in randspec.KEYWORDS[:3]), rng.randint(2, 5))
+    blocks = []
+    for name in names:
+        keys = [rng.choice(randspec.KEYWORDS) for _ in range(rng.randint(1, 5))]
+        blocks.append(f"[{name}]\n" + "".join(f"{k} = {rng.choice(VALUES)}\n" for k in keys))
+    return preamble, blocks
+
+
+def finding_counts(config_text: str, specs) -> Counter:
+    findings = check(parse_config(config_text, ConfigFormat.INI), specs, LEX)
+    return Counter((v.rule, v.key, v.observed, v.verdict) for v in findings)
+
+
+class TestSeededProperties:
+    @pytest.mark.parametrize("fmt", list(ConfigFormat))
+    def test_index_agrees_with_scan(self, fmt):
+        rng = random.Random(20231 if fmt is ConfigFormat.INI else 20232)
+        found = 0
+        for _ in range(400):
+            config = parse_config(random_config_text(rng, fmt), fmt)
+            for _ in range(15):
+                keyword = random_keyword(rng)
+                assert config.lookup(keyword) == scan_lookup(config, keyword), keyword
+                found += bool(config.lookup(keyword))
+        assert found > 1500  # a quarter of the 6,000 probes name a key
+
+    def test_section_order_never_changes_findings(self):
+        rng = random.Random(7)
+        specs = [randspec.random_specification(rng) for _ in range(40)]
+        for _ in range(150):
+            preamble, blocks = sectioned(rng)
+            expected = finding_counts(preamble + "".join(blocks), specs)
+            for _ in range(3):
+                rng.shuffle(blocks)
+                assert finding_counts(preamble + "".join(blocks), specs) == expected
+
+    def test_printed_specs_check_alike(self):
+        rng = random.Random(11)
+        specs = randspec.specification_batch(seed=5, count=200)
+        for _ in range(60):
+            config = parse_config(random_config_text(rng, ConfigFormat.INI), ConfigFormat.INI)
+            for spec in specs:
+                reparsed = parse_spec(print_spec(spec))
+                assert check(config, [spec], LEX) == check(config, [reparsed], LEX)
