@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from pathlib import Path
 
 from .conformance import (
-    ConfigError,
     ConfigFormat,
     check,
     has_hard_violations,
@@ -33,6 +31,7 @@ from .corpus import (
 )
 from .dsl import DslError, load_spec_file, parse_spec, save_spec_file
 from .eval import EvalError, evaluate, infer, render_report
+from .files import InputError, read_text, write_json
 from .model import (
     ModelConfig,
     ModelError,
@@ -51,7 +50,6 @@ from .synthdata import (
     load_distractors,
     load_seed_library,
     save_dataset,
-    save_manifest,
 )
 from .tagger import TagError, load_lexicons, tag_text
 
@@ -64,10 +62,9 @@ _EXPECTED = (
     DslError,
     TagError,
     ModelError,
-    ConfigError,
     EvalError,
+    InputError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -86,8 +83,7 @@ def _write_effective_config(command: str, args: argparse.Namespace, anchor) -> N
         if key not in ("func", "command") and not key.startswith("_")
     }
     payload = {"command": command, "settings": settings}
-    path = Path(anchor).parent / f"{command}.config.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(Path(anchor).parent / f"{command}.config.json", payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +94,7 @@ def _write_effective_config(command: str, args: argparse.Namespace, anchor) -> N
 def _read_candidates(args):
     """Keywords, sentences and candidates of the document options."""
     keywords = load_keyword_file(args.keywords)
-    document = Path(args.input).read_bytes()
-    sentences = ingest(document, DocumentFormat(args.format))
+    sentences = ingest(read_text(args.input), DocumentFormat(args.format))
     candidates = extract_candidates(
         sentences, keywords, window=args.window, doc_id=Path(args.input).name
     )
@@ -128,7 +123,7 @@ def _cmd_compose(args) -> int:
     save_dataset(args.out, dataset.train)
     if args.test_n:
         save_dataset(args.test_out, dataset.test)
-    save_manifest(Path(args.out).with_suffix(".manifest.json"), dataset.manifest)
+    write_json(Path(args.out).with_suffix(".manifest.json"), dataset.manifest, sort_keys=True)
     _write_effective_config("compose", args, args.out)
     log.info("composed %d train / %d test samples", len(dataset.train), len(dataset.test))
     return 0
@@ -206,9 +201,7 @@ def _cmd_synthesize(args) -> int:
             "emitted": len(specs),
             "failures": failures,
         }
-        Path(args.report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(args.report, report, sort_keys=True)
     _write_effective_config("synthesize", args, args.out)
     log.info(
         "%d candidates, %d detections, %d specs -> %s",
@@ -221,9 +214,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     samples = load_dataset(args.data)
     report = evaluate(model, samples)
-    Path(args.report).write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(args.report, report.to_dict())
     _write_effective_config("eval", args, args.report)
     print(render_report(report), file=sys.stderr)
     return 0
@@ -231,16 +222,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     specs = load_spec_file(args.specs)
-    config = parse_config(Path(args.config).read_bytes(), ConfigFormat(args.format))
+    config = parse_config(read_text(args.config), ConfigFormat(args.format))
     for bad in config.malformed:
         log.warning("%s:%d: skipped malformed line: %s", args.config, bad.line, bad.reason)
     violations = check(config, specs)
     print(render_violations(violations))
     if args.report:
-        payload = [violation.to_dict() for violation in violations]
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(args.report, [violation.to_dict() for violation in violations])
     return 1 if has_hard_violations(violations) else 0
 
 

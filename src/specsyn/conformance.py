@@ -33,16 +33,10 @@ from .dsl import (
     Rule,
     Specification,
     Text,
+    print_spec,
+    single,
 )
 from .tagger import NUMBER_RE, Lexicons, bool_polarity, load_lexicons
-
-
-class ConfigError(Exception):
-    """Unreadable configuration input."""
-
-
-class DecodeError(ConfigError):
-    """Configuration bytes are not valid UTF-8."""
 
 
 _UNIT_TAIL_RE = re.compile(rf"\s*({UNIT_RE.pattern})?\s*$")
@@ -136,24 +130,14 @@ class ConfigMap:
         return [found] if type(found) is ConfigEntry else sorted(found, key=_LINE)
 
 
-def _lines_of(source) -> list[str]:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"config is not valid UTF-8: {exc}") from exc
-    return source.splitlines()
-
-
-def parse_config(source, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> ConfigMap:
+def parse_config(text: str, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> ConfigMap:
     """Parse `key = value` / `key value` lines; INI adds `[section]`
     headers whose keys flatten to `section.key`. `#` and `;` start
-    comments; malformed lines are collected, not fatal."""
+    comments; malformed lines are collected, not fatal. Lines end at
+    `\\n` alone, the form `files.read_text` gives every line end in."""
     config = ConfigMap()
     section = None
-    for number, raw in enumerate(_lines_of(source), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -306,8 +290,6 @@ class Violation:
         return self.verdict not in _SOFT
 
     def to_dict(self) -> dict:
-        from .dsl import print_spec, single
-
         return {
             "rule": print_spec(single(self.rule)),
             "key": self.key,

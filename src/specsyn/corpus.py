@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import enum
 import html.parser
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .dsl import content_lines
+from .files import content_lines, write_jsonl
 
 
 class CorpusError(ValueError):
     pass
-
-
-class DecodeError(CorpusError):
-    """Document bytes are not valid UTF-8."""
 
 
 class EmptyDocument(CorpusError):
@@ -255,16 +250,8 @@ def _paragraphs(text: str) -> list:
     return [p for p in re.split(r"\n\s*\n", text) if p.strip()]
 
 
-def ingest(document, format: DocumentFormat = DocumentFormat.PLAIN_TEXT) -> list:
-    """Decode a document and return its ordered sentence list."""
-    if isinstance(document, (bytes, bytearray)):
-        try:
-            text = bytes(document).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(str(exc)) from exc
-    else:
-        text = document
-
+def ingest(text: str, format: DocumentFormat = DocumentFormat.PLAIN_TEXT) -> list:
+    """The ordered sentence list of a document's text."""
     if format is DocumentFormat.HTML_STRIPPED:
         blocks = _paragraphs(strip_html(text))
     elif format is DocumentFormat.SOURCE_COMMENTS:
@@ -335,21 +322,5 @@ def candidate_to_dict(candidate: CandidateText) -> dict:
     }
 
 
-def candidate_from_dict(record: dict) -> CandidateText:
-    return CandidateText(
-        record["text"],
-        record["source"],
-        ExtractionType(record["type"]),
-        tuple(record["keywords"]),
-    )
-
-
 def save_candidates(path, candidates: Iterable[CandidateText]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for candidate in candidates:
-            fh.write(json.dumps(candidate_to_dict(candidate), ensure_ascii=False) + "\n")
-
-
-def load_candidates(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [candidate_from_dict(json.loads(line)) for line in fh if line.strip()]
+    write_jsonl(path, map(candidate_to_dict, candidates))

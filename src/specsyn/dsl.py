@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
+from .files import InputError, content_lines
+
 
 class DslError(ValueError):
     """Base class for rule-language errors."""
@@ -53,14 +55,6 @@ class UnitMismatchError(DslError):
 
 class ValidationError(DslError):
     """A type invariant was violated during construction."""
-
-
-class SpecFileError(DslError):
-    """A spec file line failed to parse; names the file, carries the line number."""
-
-    def __init__(self, path, lineno, cause):
-        super().__init__(f"{path}:{lineno}: {cause}")
-        self.lineno = lineno
 
 
 class Relation(enum.Enum):
@@ -519,23 +513,13 @@ def infer_category(spec: Specification) -> Category:
 # ---------------------------------------------------------------------------
 # spec files: one specification per line, '#' comments, blanks ignored
 
-def content_lines(path):
-    """(line number, stripped text) of each line that is neither blank nor a
-    '#' comment; spec, keyword, lexicon and distractor files all read this way."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
-
-
 def load_spec_file(path) -> list[Specification]:
     specs = []
     for lineno, line in content_lines(path):
         try:
             specs.append(parse_spec(line))
         except DslError as exc:
-            raise SpecFileError(path, lineno, exc) from exc
+            raise InputError(path, lineno, exc) from exc
     return specs
 
 

@@ -44,12 +44,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp,
-            self.fn + other.fn, self.tn + other.tn,
-        )
-
 
 @dataclass(frozen=True)
 class Metrics:

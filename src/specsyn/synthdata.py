@@ -10,17 +10,16 @@ templates mention keywords without constraining them.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from . import dsl
 from .corpus import ExtractionType, KeywordSet
 from .dsl import Category
+from .files import content_lines, read_json, read_jsonl, write_jsonl
 from .tagger import (
     Lexicons,
     TagClass,
@@ -187,7 +186,10 @@ class LabeledSample:
 # seed library I/O
 
 def load_seed_library(path) -> SeedLibrary:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path, _library_from_dict)
+
+
+def _library_from_dict(data: dict) -> SeedLibrary:
     keywords = KeywordSet(data["software"], tuple(data["keywords"]))
     templates = tuple(
         SeedTemplate(
@@ -207,7 +209,7 @@ def load_seed_library(path) -> SeedLibrary:
 
 
 def load_distractors(path) -> tuple:
-    return tuple(line for _, line in dsl.content_lines(path))
+    return tuple(line for _, line in content_lines(path))
 
 
 def default_library() -> SeedLibrary:
@@ -533,17 +535,9 @@ def sample_from_dict(record: dict) -> LabeledSample:
 
 
 def save_dataset(path, samples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), ensure_ascii=False) + "\n")
+    write_jsonl(path, map(sample_to_dict, samples))
 
 
 def load_dataset(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [sample_from_dict(json.loads(line)) for line in fh if line.strip()]
+    return read_jsonl(path, sample_from_dict)
 
-
-def save_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

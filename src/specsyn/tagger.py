@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import dsl
 from .corpus import KeywordSet, _keyword_pattern
+from .files import content_lines
 
 
 class TagError(ValueError):
@@ -77,7 +78,7 @@ class Lexicons:
 
 
 def _read_lexicon(path: Path) -> tuple:
-    return tuple(dict.fromkeys(line.lower() for _, line in dsl.content_lines(path)))
+    return tuple(dict.fromkeys(line.lower() for _, line in content_lines(path)))
 
 
 def load_lexicons(directory=None) -> Lexicons:

@@ -115,6 +115,8 @@ class TestIngest:
             "--out", "c.jsonl", cwd=tmp_path,
         )
         assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("specsyn: doc.txt:1: not UTF-8")
+        assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
 
@@ -357,3 +359,77 @@ class TestCheck:
         )
         assert proc.returncode == 1, proc.stderr
         assert "ValueOutOfRange" in proc.stdout
+
+    def test_only_line_ends_count_lines(self, tmp_path):
+        (tmp_path / "rules.spec").write_text("port > 1500\n", encoding="utf-8")
+        (tmp_path / "my.cnf").write_bytes("motd = hello\u2028world\r\nport = 80\n".encode("utf-8"))
+        proc = run_cli(
+            "check", "--specs", "rules.spec", "--config", "my.cnf",
+            "--report", "viol.json", cwd=tmp_path,
+        )
+        assert proc.returncode == 1, proc.stderr
+        payload = json.loads((tmp_path / "viol.json").read_text())
+        assert [(v["key"], v["line"]) for v in payload] == [("port", 2)]
+
+
+NO_TAGS = b'{"text": "x", "label": 0, "target": [], "category": null, "type": "simple"}\n'
+SAMPLE = b'{"text": "x", "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
+CHECK = ["check", "--specs", "rules.spec", "--config", "my.cnf"]
+COMPOSE = ["compose", "--n", 20, "--test-n", 0]
+TRAIN = ["train", "--data", "data.jsonl", "--out", "m.spsy"]
+
+# case: (files to write, arguments, environment, how stderr must start)
+BAD_INPUTS = {
+    "spec not UTF-8": (
+        {"rules.spec": b"port > 1\n\xff\n", "my.cnf": b"port = 2\n"},
+        CHECK, {}, "rules.spec:2: not UTF-8",
+    ),
+    "config not UTF-8": (
+        {"rules.spec": b"port > 1\n", "my.cnf": b"port = \xff\n"},
+        CHECK, {}, "my.cnf:1: not UTF-8",
+    ),
+    "lexicon not UTF-8": (
+        {"rules.spec": b"port > 1\n", "my.cnf": b"port = 2\n", "lex/bool.lex": b"on\n\xff\n",
+         "lex/unit.lex": b"mb\n", "lex/format.lex": b"url\n"},
+        CHECK, {"SPECSYN_LEXICON_DIR": "lex"}, "lex/bool.lex:2: not UTF-8",
+    ),
+    "keywords not UTF-8": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"user_port\n\xfe\n"},
+        ["ingest", "--input", "doc.txt", "--keywords", "kw.txt", "--out", "c.jsonl"],
+        {}, "kw.txt:2: not UTF-8",
+    ),
+    "distractors not UTF-8": (
+        {"d.txt": b"\xff\n"}, [*COMPOSE, "--distractors", "d.txt"], {}, "d.txt:1: not UTF-8",
+    ),
+    "seeds without templates": (
+        {"seeds.json": b'{"software": "x", "keywords": ["a"]}\n'},
+        [*COMPOSE, "--seeds", "seeds.json"], {}, "seeds.json: missing field 'templates'",
+    ),
+    "dataset not UTF-8": (
+        {"data.jsonl": SAMPLE + b"\xff\n"}, TRAIN, {}, "data.jsonl:2: not UTF-8",
+    ),
+    "record not an object": (
+        {"data.jsonl": b"[1,2]\n"}, TRAIN, {}, "data.jsonl:1: not a JSON object",
+    ),
+    "record without tags": (
+        {"data.jsonl": NO_TAGS}, TRAIN, {}, "data.jsonl:1: missing field 'tags'",
+    ),
+    "bad JSON on line 2": (
+        {"data.jsonl": SAMPLE + b'{"text": \n'}, TRAIN, {}, "data.jsonl:2: not JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_line(tmp_path, monkeypatch, case):
+    files, argv, env, reason = BAD_INPUTS[case]
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    proc = run_cli(*argv, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"specsyn: {reason}"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "line 1 column" not in proc.stderr

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 from collections import Counter
@@ -11,7 +10,6 @@ import randspec
 from specsyn.conformance import (
     ConfigFormat,
     ConfigMap,
-    DecodeError,
     Verdict,
     Violation,
     check,
@@ -24,6 +22,7 @@ from specsyn.conformance import (
     render_violations,
 )
 from specsyn.dsl import parse_spec, print_spec
+from specsyn.files import InputError, read_text
 from specsyn.tagger import load_lexicons
 
 LEX = load_lexicons()
@@ -95,17 +94,22 @@ class TestParseConfig:
         assert [m.line for m in cfg.malformed] == [1]
         assert cfg.entries["good"].value == "2"
 
-    def test_bytes_input_decoded(self):
-        cfg = parse_config(b"a = 1\n")
-        assert cfg.entries["a"].value == "1"
+    def test_bytes_input_decoded(self, tmp_path):
+        (tmp_path / "my.cnf").write_bytes("motd = café\n".encode("utf-8"))
+        cfg = parse_config(read_text(tmp_path / "my.cnf"))
+        assert cfg.entries["motd"].value == "café"
 
-    def test_invalid_utf8_raises(self):
-        with pytest.raises(DecodeError):
-            parse_config(b"\xff\xfe broken")
+    def test_invalid_utf8_raises(self, tmp_path):
+        (tmp_path / "my.cnf").write_bytes(b"a = 1\n\xff\xfe broken\n")
+        with pytest.raises(InputError, match=r"my\.cnf:2: not UTF-8"):
+            read_text(tmp_path / "my.cnf")
 
-    def test_file_object_accepted(self):
-        cfg = parse_config(io.StringIO("a = 1\n"))
-        assert cfg.entries["a"].value == "1"
+    def test_only_newline_ends_a_line(self):
+        cfg = kv("motd = hello\u2028world\nport = 1\n")
+        assert [(e.key, e.value, e.line) for e in cfg.entries.values()] == [
+            ("motd", "hello\u2028world", 1),
+            ("port", "1", 2),
+        ]
 
     def test_section_headers_are_not_kv_keys(self):
         cfg = kv("[mysqld]\nmax_rows = 5\n")
@@ -497,6 +501,29 @@ def random_config_text(rng: random.Random, fmt: ConfigFormat) -> str:
     return "\n".join(lines) + "\n"
 
 
+LINE_ENDS = ("\n", "\r\n", "\r")
+# str.splitlines breaks at these too; inside a config line they are text
+NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def random_line_ends(rng: random.Random) -> tuple[str, list[tuple[str, str, int]]]:
+    """Config text whose lines end at random line ends, and the (key,
+    value, line) of each entry it holds."""
+    text, entries = "", []
+    for number in range(1, rng.randint(1, 12) + 1):
+        kind = rng.randrange(5)
+        if kind == 0:
+            # not empty: an empty line after "\r" would turn it into "\r\n"
+            line = rng.choice((" ", "\t", "# note" + rng.choice(NOT_LINE_ENDS) + "more"))
+        else:
+            key = f"key{number}"
+            value = "v" + "".join(rng.choice(("a", " ", *NOT_LINE_ENDS)) for _ in range(6)) + "w"
+            line = f"{key} = {value}" if kind < 3 else f"{key} {value}"
+            entries.append((key, value, number))
+        text += line + rng.choice(LINE_ENDS)
+    return text.removesuffix(rng.choice(("", "\n"))), entries
+
+
 def scan_lookup(config: ConfigMap, keyword: str) -> list:
     """The former `ConfigMap.lookup`, two scans over every entry: exact
     match first, then a `.keyword` suffix; each tier keeps every match, in
@@ -537,6 +564,16 @@ class TestSeededProperties:
                 assert config.lookup(keyword) == scan_lookup(config, keyword), keyword
                 found += bool(config.lookup(keyword))
         assert found > 1500  # a quarter of the 6,000 probes name a key
+
+    def test_lines_end_only_at_line_ends(self, tmp_path):
+        rng = random.Random(2029)
+        path = tmp_path / "my.cnf"
+        for _ in range(300):
+            text, expected = random_line_ends(rng)
+            path.write_bytes(text.encode("utf-8"))
+            config = parse_config(read_text(path))
+            assert [(e.key, e.value, e.line) for e in config.entries.values()] == expected
+            assert config.malformed == []
 
     def test_section_order_never_changes_findings(self):
         rng = random.Random(7)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -7,7 +8,6 @@ from specsyn import corpus
 from specsyn.corpus import (
     CandidateText,
     CorpusError,
-    DecodeError,
     DocumentFormat,
     EmptyDocument,
     ExtractionType,
@@ -16,6 +16,7 @@ from specsyn.corpus import (
     ingest,
     split_sentences,
 )
+from specsyn.files import InputError, read_text
 
 KW = KeywordSet("mysql", ("max_rows", "user_port", "have_ssl", "have_open_ssl"))
 
@@ -87,12 +88,14 @@ class TestIngest:
         doc = "First para. Second sentence.\n\nSecond para."
         assert ingest(doc) == ["First para.", "Second sentence.", "Second para."]
 
-    def test_bytes_decoded(self):
-        assert ingest("Café time.".encode("utf-8")) == ["Café time."]
+    def test_bytes_decoded(self, tmp_path):
+        (tmp_path / "doc.txt").write_bytes("Café time.".encode("utf-8"))
+        assert ingest(read_text(tmp_path / "doc.txt")) == ["Café time."]
 
-    def test_invalid_utf8(self):
-        with pytest.raises(DecodeError):
-            ingest(b"\xff\xfe broken")
+    def test_invalid_utf8(self, tmp_path):
+        (tmp_path / "doc.txt").write_bytes(b"\xff\xfe broken")
+        with pytest.raises(InputError, match=r"doc\.txt:1: not UTF-8"):
+            read_text(tmp_path / "doc.txt")
 
     def test_empty_document(self):
         with pytest.raises(EmptyDocument):
@@ -286,7 +289,8 @@ class TestSerialization:
         cands = extract_candidates(TestExtractCandidates.SENTS, KW, window=2)
         path = tmp_path / "cands.jsonl"
         corpus.save_candidates(path, cands)
-        assert corpus.load_candidates(path) == cands
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == list(map(corpus.candidate_to_dict, cands))
 
     def test_jsonl_fields(self, tmp_path):
         cand = CandidateText("max_rows stuff", "d:0", ExtractionType.SIMPLE, ("max_rows",))

@@ -16,13 +16,13 @@ from specsyn.dsl import (
     Relation,
     Rule,
     Specification,
-    SpecFileError,
     Text,
     UnitMismatchError,
     ValidationError,
     parse_spec,
     print_spec,
 )
+from specsyn.files import InputError
 
 import randspec
 
@@ -293,7 +293,7 @@ class TestSpecFiles:
     def test_error_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.spec"
         path.write_text("use(sync)\nx in [7, 2]\n", encoding="utf-8")
-        with pytest.raises(SpecFileError) as err:
+        with pytest.raises(InputError) as err:
             dsl.load_spec_file(path)
         assert err.value.lineno == 2
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestScoreDetection:
         whole, _ = score_detection(preds, labels)
         left, _ = score_detection(preds[:17], labels[:17])
         right, _ = score_detection(preds[17:], labels[17:])
-        assert left + right == whole
+        assert [a + b for a, b in zip(astuple(left), astuple(right))] == list(astuple(whole))
 
     def test_f1_consistency(self):
         rng = np.random.default_rng(2)

@@ -14,6 +14,7 @@ import pytest
 from specsyn import dsl
 from specsyn.conformance import coerce_number, parse_config
 from specsyn.corpus import KeywordSet, load_keyword_file
+from specsyn.files import InputError
 from specsyn.model import TAG_SLOTS, Vocab, reserved_tokens, tokenize
 from specsyn.synthdata import load_distractors
 from specsyn.tagger import TagClass, load_lexicons, spec_token, tag_text
@@ -164,6 +165,6 @@ class TestOneLineListReader:
     def test_spec_file_errors_count_skipped_lines(self, tmp_path):
         path = tmp_path / "specs.spec"
         path.write_text(self.TEXT.replace("max_rows", "x in [7, 2]"), encoding="utf-8")
-        with pytest.raises(dsl.SpecFileError) as err:
+        with pytest.raises(InputError) as err:
             dsl.load_spec_file(path)
         assert err.value.lineno == 4
