@@ -29,7 +29,7 @@ from .corpus import (
     load_keyword_file,
     save_candidates,
 )
-from .dsl import DslError, load_spec_file, parse_spec, save_spec_file
+from .dsl import DslError, Specification, load_spec_file, save_spec_file
 from .eval import EvalError, evaluate, infer, render_report
 from .files import InputError, read_text, write_json
 from .model import (
@@ -165,7 +165,7 @@ def _cmd_synthesize(args) -> int:
     lexicons = load_lexicons()
 
     budget = model.config.max_len - 1  # one slot reserved for CLS
-    specs: list[str] = []
+    specs: list[Specification] = []
     failures: list[dict] = []
     detections = 0
     for candidate in candidates:
@@ -193,7 +193,7 @@ def _cmd_synthesize(args) -> int:
         )
         log.warning("dropping non-parsing output for %s: %s", candidate.source, result.failure)
 
-    save_spec_file(args.out, map(parse_spec, specs))
+    save_spec_file(args.out, specs)
     if args.report:
         report = {
             "candidates": len(candidates),

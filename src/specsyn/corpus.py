@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .files import content_lines, write_jsonl
+from .files import InputError, content_lines, write_jsonl
 
 
 class CorpusError(ValueError):
@@ -49,11 +49,8 @@ class KeywordSet:
         object.__setattr__(self, "keywords", tuple(self.keywords))
         if not self.keywords:
             raise CorpusError("keyword set must not be empty")
-        if len(set(self.keywords)) != len(self.keywords):
-            raise CorpusError("keywords must be unique")
-        for kw in self.keywords:
-            if not kw or kw.split() != [kw]:
-                raise CorpusError(f"bad keyword {kw!r}")
+        if bad := _bad_keyword(self.keywords):
+            raise CorpusError(bad[1])
 
     def pattern(self) -> re.Pattern:
         return _keyword_pattern(self.keywords)
@@ -66,6 +63,19 @@ class KeywordSet:
             if name not in found:
                 found.append(name)
         return found
+
+
+def _bad_keyword(keywords):
+    """(index, reason) of the first keyword that is empty, holds whitespace
+    or repeats an earlier one; None when all are fine."""
+    seen = set()
+    for i, kw in enumerate(keywords):
+        if not kw or kw.split() != [kw]:
+            return i, f"bad keyword {kw!r}"
+        if kw in seen:
+            return i, f"keyword {kw!r} is repeated"
+        seen.add(kw)
+    return None
 
 
 @lru_cache(maxsize=64)
@@ -309,7 +319,12 @@ def extract_candidates(
 
 def load_keyword_file(path) -> KeywordSet:
     """One keyword per line; blank lines and '#' comments ignored."""
-    keywords = tuple(line for _, line in content_lines(path))
+    lines = content_lines(path)
+    if not lines:
+        raise InputError(path, None, "no keywords")
+    keywords = tuple(line for _, line in lines)
+    if bad := _bad_keyword(keywords):
+        raise InputError(path, lines[bad[0]][0], bad[1])
     return KeywordSet("unknown", keywords)
 
 

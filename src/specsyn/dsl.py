@@ -35,10 +35,9 @@ class DslError(ValueError):
 class DslSyntaxError(DslError):
     """Input does not match the canonical grammar."""
 
-    def __init__(self, message, position, expected=()):
+    def __init__(self, message, position):
         super().__init__(f"at position {position}: {message}")
         self.position = position
-        self.expected = tuple(expected)
 
 
 class ArityError(DslError):
@@ -58,13 +57,8 @@ class ValidationError(DslError):
 
 
 class Relation(enum.Enum):
-    """Closed set of rule relations.
+    """Closed set of rule relations; bare recommendations are ``RECOMMEND``."""
 
-    ``NONE`` stands for the absence of a concrete relation and is not valid
-    on a rule; bare recommendations are expressed with ``RECOMMEND``.
-    """
-
-    NONE = "none"
     EQ = "=="
     NEQ = "!="
     GT = ">"
@@ -213,10 +207,7 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         _check_keyword_token(self.keyword, "rule keyword")
-        arity = _ARITY.get(self.relation)
-        if arity is None:
-            raise ValidationError(f"relation {self.relation.name} is not valid on a rule")
-        lo, hi = arity
+        lo, hi = _ARITY[self.relation]
         n = len(self.values)
         if n < lo or (hi is not None and n > hi):
             want = str(lo) if lo == hi else (f">= {lo}" if hi is None else f"{lo}..{hi}")
@@ -312,8 +303,8 @@ class _Parser:
     def fail(self, expected: Iterable[str]):
         tok = self.peek()
         found = tok.text or "end of input"
-        exp = sorted(expected)
-        raise DslSyntaxError(f"expected {' or '.join(exp)}, found {found!r}", tok.pos, exp)
+        exp = " or ".join(sorted(expected))
+        raise DslSyntaxError(f"expected {exp}, found {found!r}", tok.pos)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.peek()

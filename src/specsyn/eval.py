@@ -3,8 +3,8 @@
 Detection quality is summarized by precision/recall/F1 plus raw confusion
 counts. Generation accuracy is exact match conditioned on correct
 detection: only gold-positive samples the detector flagged count toward
-the denominator, and a match means both sides parse to the same
-specification (formatting differences never penalize the generator).
+the denominator, and a match means the emitted `Specification` equals the
+gold one (formatting differences never penalize the generator).
 
 `infer` is the detect-generate-detag path itself; `synthesize` calls it too.
 """
@@ -12,11 +12,9 @@ specification (formatting differences never penalize the generator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from . import dsl
 from .corpus import ExtractionType
-from .dsl import Category
+from .dsl import Category, Specification, print_spec
 from .model import predicted_label
 from .tagger import NonParsingOutput, UnknownTagError, detag
 
@@ -85,21 +83,6 @@ def score_detection(predictions, labels) -> tuple[ConfusionCounts, Metrics]:
     return counts, metrics_from_counts(counts)
 
 
-def _generation_match(predicted: str | None, gold: str | None) -> bool | None:
-    """Whether the prediction parses to the gold spec; None when either
-    side is absent. A prediction that fails to parse is a mismatch."""
-    if predicted is None or gold is None:
-        return None
-    try:
-        gold_spec = dsl.parse_spec(gold)
-    except dsl.DslError as exc:
-        raise EvalError(f"gold spec does not parse: {gold!r}") from exc
-    try:
-        return dsl.parse_spec(predicted) == gold_spec
-    except dsl.DslError:
-        return False
-
-
 def _exact_match_rate(matches) -> float:
     scored = [match for match in matches if match is not None]
     return sum(scored) / len(scored) if scored else 0.0
@@ -114,17 +97,16 @@ class SampleOutcome:
     flagged: bool
     type: ExtractionType
     category: Category | None
-    expected: str | None
-    got: str | None
+    expected: Specification | None  # gold spec of a positive
+    got: Specification | str | None  # emitted spec; raw tokens if detag failed
 
-    @cached_property
+    @property
     def match(self) -> bool | None:
-        """Generation exact match, parsed once; None outside its denominator
-        (not flagged, or no gold spec)."""
-        return _generation_match(
-            self.got if self.flagged else None,
-            self.expected if self.label else None,
-        )
+        """Generation exact match; None outside its denominator (not
+        flagged, or no gold spec)."""
+        if not (self.flagged and self.label):
+            return None
+        return self.got == self.expected
 
 
 def breakdown(outcomes, key: str) -> dict[str, dict]:
@@ -203,7 +185,7 @@ class Inference:
 
     flagged: bool
     tokens: tuple = ()  # generated tokens; empty unless flagged
-    rule: str | None = None  # canonical spec text when detag succeeded
+    rule: Specification | None = None  # the emitted spec when detag succeeded
     failure: str | None = None  # why detag failed
 
 
@@ -220,8 +202,8 @@ def infer(model, text: str, tags: dict) -> Inference:
         return Inference(True, tokens, failure=str(exc))
 
 
-def gold_spec(sample) -> str | None:
-    """Concrete gold spec text, reconstructed from the tagged target."""
+def gold_spec(sample) -> Specification | None:
+    """Concrete gold spec, reconstructed from the tagged target."""
     if not sample.label:
         return None
     return detag(sample.target, sample.tags)
@@ -251,6 +233,12 @@ def _is_error(outcome: SampleOutcome) -> bool:
     return outcome.flagged != outcome.label or (outcome.flagged and not outcome.match)
 
 
+def _shown(spec: Specification | str | None) -> str | None:
+    """A spec as the error list shows it: printed, or the raw tokens of a
+    failed detag as they are."""
+    return print_spec(spec) if isinstance(spec, Specification) else spec
+
+
 def report_from_outcomes(outcomes) -> EvaluationReport:
     if not outcomes:
         raise EvalError("nothing to evaluate")
@@ -259,7 +247,7 @@ def report_from_outcomes(outcomes) -> EvaluationReport:
     )
     em = _exact_match_rate(o.match for o in outcomes)
     errors = [
-        {"id": o.index, "expected": o.expected, "got": o.got}
+        {"id": o.index, "expected": _shown(o.expected), "got": _shown(o.got)}
         for o in outcomes
         if _is_error(o)
     ]

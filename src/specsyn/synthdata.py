@@ -174,7 +174,7 @@ class LabeledSample:
     target: tuple  # tagged-spec tokens, empty iff label is false
     category: Category | None
     type: ExtractionType
-    gold: str | None = field(default=None, compare=False)  # concrete spec; not serialized
+    gold: dsl.Specification | None = field(default=None, compare=False)  # not serialized
 
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
@@ -259,8 +259,8 @@ def _fill(text: str, fillers: dict) -> str:
     return _SLOT_RE.sub(lambda m: fillers[m.group(1) + m.group(2)], text)
 
 
-def _concrete_spec(target, fillers) -> str:
-    """The specification a filled target encodes, in canonical form."""
+def _concrete_spec(target, fillers) -> dsl.Specification:
+    """The specification a filled target encodes."""
     tokens = []
     for token in target:
         m = _SLOT_RE.fullmatch(token)
@@ -270,8 +270,7 @@ def _concrete_spec(target, fillers) -> str:
             tokens.append(spec_token(cls, fillers[name].lower()))
         else:
             tokens.append(token)
-    spec = dsl.parse_spec(render_tokens(tokens))
-    return dsl.print_spec(spec)
+    return dsl.parse_spec(render_tokens(tokens))
 
 
 def _weave(sentences, distractors, rng):
@@ -343,7 +342,8 @@ def compose_positive(
     reconstructed = detag(list(target), tagged.tags)
     if reconstructed != gold:
         raise TemplateError(
-            f"template {seed.id}: target detags to {reconstructed!r}, expected {gold!r}"
+            f"template {seed.id}: target detags to {dsl.print_spec(reconstructed)!r}, "
+            f"expected {dsl.print_spec(gold)!r}"
         )
     return LabeledSample(
         tagged.text, tagged.tags, True, target, seed.category, seed.type, gold
@@ -523,12 +523,26 @@ def sample_to_dict(sample: LabeledSample) -> dict:
     }
 
 
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 def sample_from_dict(record: dict) -> LabeledSample:
+    text, tags, label, target = (record[k] for k in ("text", "tags", "label", "target"))
+    for ok, problem in (
+        (isinstance(text, str), "'text' must be a string"),
+        (isinstance(tags, dict) and _strings(tags) and _strings(tags.values()),
+         "'tags' must map strings to strings"),
+        (isinstance(target, list) and _strings(target), "'target' must be a list of strings"),
+        (isinstance(label, int) and label in (0, 1), "'label' must be 0, 1 or a bool"),
+    ):
+        if not ok:
+            raise TypeError(f"field {problem}")
     return LabeledSample(
-        record["text"],
-        dict(record["tags"]),
-        bool(record["label"]),
-        tuple(record["target"]),
+        text,
+        dict(tags),
+        bool(label),
+        tuple(target),
         Category(record["category"]) if record.get("category") else None,
         ExtractionType(record["type"]),
     )

@@ -4,7 +4,7 @@ Tagging turns a candidate sentence into the tuple ⟨C, T⟩ where C is the
 lowercased text with literals replaced by tag tokens (``<num1>``,
 ``<keyword1>``, ...) and T maps each tag id back to the surface string it
 replaced.  ``detag`` is the inverse direction: it substitutes surfaces into a
-generated token sequence and renders a canonical rule-language string.
+generated token sequence and parses the result into a ``dsl.Specification``.
 """
 
 from __future__ import annotations
@@ -81,14 +81,11 @@ def _read_lexicon(path: Path) -> tuple:
     return tuple(dict.fromkeys(line.lower() for _, line in content_lines(path)))
 
 
-def load_lexicons(directory=None) -> Lexicons:
-    """Load tag lexicons from a directory, the SPECSYN_LEXICON_DIR
-    environment variable, or the packaged defaults, in that order."""
-    if directory is None:
-        directory = os.environ.get("SPECSYN_LEXICON_DIR")
-    if directory is None:
-        directory = Path(str(resources.files("specsyn").joinpath("data")))
-    directory = Path(directory)
+def load_lexicons() -> Lexicons:
+    """Load tag lexicons from the SPECSYN_LEXICON_DIR directory, else the
+    packaged defaults."""
+    default = resources.files("specsyn").joinpath("data")
+    directory = Path(os.environ.get("SPECSYN_LEXICON_DIR", str(default)))
     return Lexicons(
         bool_surfaces=_read_lexicon(directory / "bool.lex"),
         unit_surfaces=_read_lexicon(directory / "unit.lex"),
@@ -221,10 +218,6 @@ def spec_token(cls: TagClass, surface: str) -> str:
     return surface
 
 
-def _surface_to_token(tag_id: str, surface: str) -> str:
-    return spec_token(tag_class_of(tag_id), surface)
-
-
 _SUPPRESS_SPACE_BEFORE = {")", ",", "]", "}", "("}
 _SUPPRESS_SPACE_AFTER = {"(", "[", "{"}
 
@@ -241,8 +234,10 @@ def render_tokens(tokens) -> str:
     return "".join(parts)
 
 
-def detag(tokens, tags: dict) -> str:
-    """Substitute tag surfaces into generated tokens; canonical spec text out.
+def detag(tokens, tags: dict) -> dsl.Specification:
+    """Substitute tag surfaces into generated tokens and parse the result:
+    the `dsl.Specification` the tokens spell. Callers keep it as one and
+    print it only where text is due (a spec file, a report, a message).
 
     Raises UnknownTagError for tags missing from the map and NonParsingOutput
     when the reconstruction is not a valid specification.
@@ -253,12 +248,11 @@ def detag(tokens, tags: dict) -> str:
             tag_id = token[1:-1]
             if tag_id not in tags:
                 raise UnknownTagError(f"tag {token} has no surface in the tag map")
-            substituted.append(_surface_to_token(tag_id, tags[tag_id]))
+            substituted.append(spec_token(tag_class_of(tag_id), tags[tag_id]))
         else:
             substituted.append(token)
     text = render_tokens(substituted)
     try:
-        spec = dsl.parse_spec(text)
+        return dsl.parse_spec(text)
     except dsl.DslError as exc:
         raise NonParsingOutput(f"{text!r}: {exc}") from exc
-    return dsl.print_spec(spec)

@@ -40,9 +40,7 @@ def random_general_value(rng: random.Random):
 
 def random_rule(rng: random.Random, relation=None) -> dsl.Rule:
     if relation is None:
-        relation = rng.choice(
-            [r for r in dsl.Relation if r is not dsl.Relation.NONE]
-        )
+        relation = rng.choice(list(dsl.Relation))
     key = rng.choice(KEYWORDS)
     if relation in (dsl.Relation.EQ, dsl.Relation.NEQ):
         return dsl.Rule(key, relation, (random_general_value(rng),))
@@ -81,7 +79,6 @@ def specification_batch(seed: int, count: int):
     specs = [
         dsl.single(random_rule(rng, relation))
         for relation in dsl.Relation
-        if relation is not dsl.Relation.NONE
     ]
     while len(specs) < count:
         specs.append(random_specification(rng))

@@ -10,7 +10,7 @@ import pytest
 
 import specsyn
 from conftest import run_cli, run_python
-from specsyn import cli
+from specsyn import cli, dsl
 from specsyn.dsl import parse_spec
 from specsyn.model import (
     GenerationResult,
@@ -232,6 +232,33 @@ class TestSynthesize:
         assert seen == [{"keyword1": "user_port", "num1": "1500"}]
         assert (tmp_path / "specs.spec").read_text() == "use(user_port)\n"
 
+    def test_each_emitted_rule_is_parsed_once(self, tmp_path, monkeypatch):
+        config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=32)
+        save_checkpoint(Model.initialize(config, Vocab(reserved_tokens())), tmp_path / "m.spsy")
+        (tmp_path / "doc.txt").write_text(DOC, encoding="utf-8")
+        (tmp_path / "kw.txt").write_text(KEYWORDS, encoding="utf-8")
+        calls = {"parse_spec": 0, "print_spec": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(dsl, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dsl, name, counted)
+        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([0.0, 1.0]))
+        monkeypatch.setattr(
+            Model, "generate",
+            lambda self, h_c, tags: GenerationResult(("use", "(", "<keyword1>", ")"), False),
+        )
+        status = cli.main([
+            "synthesize", "--model", str(tmp_path / "m.spsy"),
+            "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
+            "--out", str(tmp_path / "specs.spec"),
+        ])
+        assert status == 0
+        emitted = (tmp_path / "specs.spec").read_text().splitlines()
+        assert emitted == ["use(user_port)", "use(user_port)", "use(mysql)"]
+        # parsed by detag, printed by the spec file, and nowhere else
+        assert calls == {"parse_spec": 3, "print_spec": 3}
+
     def test_wrong_tensor_shape_is_one_line(self, tmp_path):
         model = Model.initialize(
             ModelConfig(d_model=8, blocks=1, heads=2, max_len=8), Vocab(reserved_tokens())
@@ -373,8 +400,10 @@ class TestCheck:
 
 
 NO_TAGS = b'{"text": "x", "label": 0, "target": [], "category": null, "type": "simple"}\n'
+NUMBER_TEXT = b'{"text": 5, "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
 SAMPLE = b'{"text": "x", "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
 CHECK = ["check", "--specs", "rules.spec", "--config", "my.cnf"]
+INGEST = ["ingest", "--input", "doc.txt", "--keywords", "kw.txt", "--out", "c.jsonl"]
 COMPOSE = ["compose", "--n", 20, "--test-n", 0]
 TRAIN = ["train", "--data", "data.jsonl", "--out", "m.spsy"]
 
@@ -395,8 +424,19 @@ BAD_INPUTS = {
     ),
     "keywords not UTF-8": (
         {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"user_port\n\xfe\n"},
-        ["ingest", "--input", "doc.txt", "--keywords", "kw.txt", "--out", "c.jsonl"],
-        {}, "kw.txt:2: not UTF-8",
+        INGEST, {}, "kw.txt:2: not UTF-8",
+    ),
+    "keyword with a space": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"user_port\nmax rows\n"},
+        INGEST, {}, "kw.txt:2: bad keyword 'max rows'",
+    ),
+    "no keyword": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"# none yet\n"},
+        INGEST, {}, "kw.txt: no keywords",
+    ),
+    "repeated keyword": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"user_port\n# again\nuser_port\n"},
+        INGEST, {}, "kw.txt:3: keyword 'user_port' is repeated",
     ),
     "distractors not UTF-8": (
         {"d.txt": b"\xff\n"}, [*COMPOSE, "--distractors", "d.txt"], {}, "d.txt:1: not UTF-8",
@@ -413,6 +453,10 @@ BAD_INPUTS = {
     ),
     "record without tags": (
         {"data.jsonl": NO_TAGS}, TRAIN, {}, "data.jsonl:1: missing field 'tags'",
+    ),
+    "text not a string": (
+        {"data.jsonl": NUMBER_TEXT + SAMPLE}, TRAIN, {},
+        "data.jsonl:1: field 'text' must be a string",
     ),
     "bad JSON on line 2": (
         {"data.jsonl": SAMPLE + b'{"text": \n'}, TRAIN, {}, "data.jsonl:2: not JSON",

@@ -222,6 +222,16 @@ class TestKeywordSet:
         ks = corpus.load_keyword_file(path)
         assert ks.keywords == ("max_rows", "user_port")
 
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("max_rows\nmax rows\n", 2, "bad keyword 'max rows'"),
+        ("# params\nmax_rows\n\nmax_rows\n", 4, "keyword 'max_rows' is repeated"),
+    ])
+    def test_keyword_file_errors_name_the_line(self, tmp_path, text, lineno, reason):
+        path = tmp_path / "kw.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match=f"kw.txt:{lineno}: {reason}$"):
+            corpus.load_keyword_file(path)
+
 
 class TestExtractCandidates:
     SENTS = [

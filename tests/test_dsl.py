@@ -179,10 +179,6 @@ class TestSyntaxErrors:
 
 
 class TestConstructionErrors:
-    def test_none_relation_rejected(self):
-        with pytest.raises(ValidationError):
-            Rule("x", Relation.NONE, ())
-
     def test_arity_enforced(self):
         with pytest.raises(ArityError):
             Rule("x", Relation.EQ, (Number(1), Number(2)))
@@ -302,8 +298,6 @@ class TestRoundTrip:
     def test_every_relation_round_trips(self):
         rng = random.Random(7)
         for relation in Relation:
-            if relation is Relation.NONE:
-                continue
             for _ in range(25):
                 spec = dsl.single(randspec.random_rule(rng, relation))
                 assert parse_spec(print_spec(spec)) == spec

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from specsyn import dsl
+from specsyn import eval as eval_module
 from specsyn.corpus import ExtractionType
-from specsyn.dsl import Category, parse_spec
+from specsyn.dsl import Category, DslError, parse_spec
 from specsyn.eval import (
     ConfusionCounts,
     EvalError,
@@ -99,11 +100,22 @@ class TestScoreDetection:
                 assert abs(again - m.f1) < 5e-3
 
 
+def spec(text):
+    """The spec `text` parses to; text that does not parse stays as it is,
+    the way `collect_outcomes` keeps the raw tokens of a failed detag."""
+    if text is None:
+        return None
+    try:
+        return parse_spec(text)
+    except DslError:
+        return text
+
+
 def generation_em(predicted, gold):
     """Report exact match over paired prediction and gold spec texts
     (None = not flagged / no gold spec)."""
     outcomes = [
-        outcome(i, g is not None, p is not None, ExtractionType.SIMPLE, None, g, p)
+        outcome(i, g is not None, p is not None, ExtractionType.SIMPLE, None, spec(g), spec(p))
         for i, (p, g) in enumerate(zip(predicted, gold, strict=True))
     ]
     return report_from_outcomes(outcomes).generation_em
@@ -126,10 +138,6 @@ class TestScoreGeneration:
 
     def test_unparseable_prediction_is_mismatch(self):
         assert generation_em(["> > and"], ["a > 5"]) == 0.0
-
-    def test_unparseable_gold_raises(self):
-        with pytest.raises(EvalError):
-            generation_em(["a > 5"], ["not a spec at all"])
 
     def test_no_detected_positives_scores_zero(self):
         assert generation_em([None, None], ["a > 5", None]) == 0.0
@@ -161,16 +169,29 @@ def outcome(i, label, flagged, kind, cat, expected=None, got=None):
     )
 
 
+def counting(monkeypatch, module, name):
+    """Replace `module.name` with a wrapper; returns its list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def mixed_outcomes():
     S, CS = ExtractionType.SIMPLE, ExtractionType.COMPLEX_SINGLE
     Q, U = Category.QUANTITATIVE, Category.UTILIZATION
     return [
-        outcome(0, True, True, S, Q, "a > 5", "a > 5"),
-        outcome(1, True, True, S, Q, "b < 2", "b <= 3"),
-        outcome(2, True, False, CS, U, "c == on", None),
-        outcome(3, False, True, S, None, None, "d > 1"),
+        outcome(0, True, True, S, Q, spec("a > 5"), spec("a > 5")),
+        outcome(1, True, True, S, Q, spec("b < 2"), "b <= 3"),  # detag failed
+        outcome(2, True, False, CS, U, spec("c == on"), None),
+        outcome(3, False, True, S, None, None, spec("d > 1")),
         outcome(4, False, False, CS, None, None, None),
-        outcome(5, True, True, CS, U, "e in [1, 2]", "e in [1,2]"),
+        outcome(5, True, True, CS, U, spec("e in [1, 2]"), spec("e in [1,2]")),
     ]
 
 
@@ -249,6 +270,8 @@ class TestReport:
         assert ids == [1, 2, 3]
         miss = next(e for e in report.errors if e["id"] == 2)
         assert miss == {"id": 2, "expected": "c == on", "got": None}
+        mismatch = next(e for e in report.errors if e["id"] == 1)
+        assert mismatch == {"id": 1, "expected": "b < 2", "got": "b <= 3"}
 
     def test_structural_match_is_not_an_error(self):
         report = report_from_outcomes(mixed_outcomes())
@@ -258,19 +281,14 @@ class TestReport:
         report = report_from_outcomes(mixed_outcomes())
         assert report.generation_em == pytest.approx(2 / 3)
 
-    def test_each_scored_pair_is_parsed_once(self, monkeypatch):
-        parsed = []
-
-        def counting_parse(text):
-            parsed.append(text)
-            return parse_spec(text)
-
-        monkeypatch.setattr(dsl, "parse_spec", counting_parse)
-        report_from_outcomes(mixed_outcomes())
-        # gold and prediction of the three flagged gold positives
-        assert sorted(parsed) == sorted(
-            ["a > 5", "a > 5", "b < 2", "b <= 3", "e in [1, 2]", "e in [1,2]"]
-        )
+    def test_only_the_error_list_prints_specs(self, monkeypatch):
+        outcomes = mixed_outcomes()
+        parsed = counting(monkeypatch, dsl, "parse_spec")
+        printed = counting(monkeypatch, eval_module, "print_spec")
+        report_from_outcomes(outcomes)
+        assert parsed == []
+        # gold of errors 1 and 2, the false alarm's rule of error 3
+        assert printed == [(spec("b < 2"),), (spec("c == on"),), (spec("d > 1"),)]
 
     def test_empty_outcomes_rejected(self):
         with pytest.raises(EvalError):
@@ -284,37 +302,65 @@ class TestReport:
         assert "Errors: 3" in text
 
 
-class TestModelEvaluation:
-    def test_evaluate_runs_the_two_step_pipeline(self):
-        from specsyn.model import Model, ModelConfig, TrainConfig, train
-        from specsyn.synthdata import LabeledSample
+@pytest.fixture(scope="module")
+def trained():
+    """A small model trained to flag and generate its own samples."""
+    from specsyn.model import ModelConfig, TrainConfig, train
+    from specsyn.synthdata import LabeledSample
 
-        samples = []
-        for i in range(6):
-            samples.append(LabeledSample(
-                text="set <keyword1> to more than <num1> units .",
-                tags={"keyword1": f"opt{i}", "num1": str(10 + i)},
-                label=True,
-                target=("<keyword1>", ">", "<num1>"),
-                category=Category.QUANTITATIVE,
-                type=ExtractionType.SIMPLE,
-            ))
-            samples.append(LabeledSample(
-                text="see page <num1> for details of <keyword1> .",
-                tags={"keyword1": f"opt{i}", "num1": str(i)},
-                label=False,
-                target=(),
-                category=None,
-                type=ExtractionType.SIMPLE,
-            ))
-        config = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
-        result = train(samples, TrainConfig(epochs=200, rng_seed=3), config)
-        report = evaluate(result.model, samples)
+    samples = []
+    for i in range(6):
+        samples.append(LabeledSample(
+            text="set <keyword1> to more than <num1> units .",
+            tags={"keyword1": f"opt{i}", "num1": str(10 + i)},
+            label=True,
+            target=("<keyword1>", ">", "<num1>"),
+            category=Category.QUANTITATIVE,
+            type=ExtractionType.SIMPLE,
+        ))
+        samples.append(LabeledSample(
+            text="see page <num1> for details of <keyword1> .",
+            tags={"keyword1": f"opt{i}", "num1": str(i)},
+            label=False,
+            target=(),
+            category=None,
+            type=ExtractionType.SIMPLE,
+        ))
+    config = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
+    result = train(samples, TrainConfig(epochs=200, rng_seed=3), config)
+    return result.model, samples
+
+
+class TestModelEvaluation:
+    def test_evaluate_runs_the_two_step_pipeline(self, trained):
+        model, samples = trained
+        report = evaluate(model, samples)
         assert report.confusion.total == len(samples)
         assert report.metrics.f1 == 1.0
         assert report.generation_em == 1.0
-        expected = gold_spec(samples[0])
-        assert expected == "opt0 > 10"
+        assert gold_spec(samples[0]) == parse_spec("opt0 > 10")
+
+    def test_evaluate_parses_each_rule_once(self, trained, monkeypatch):
+        model, samples = trained
+        detagged = counting(monkeypatch, eval_module, "detag")
+        parsed = counting(monkeypatch, dsl, "parse_spec")
+        real_report = eval_module.report_from_outcomes
+        parsed_in_report = []
+
+        def report_from_outcomes(outcomes):
+            before = len(parsed)
+            report = real_report(outcomes)
+            parsed_in_report.append(len(parsed) - before)
+            return report
+
+        monkeypatch.setattr(eval_module, "report_from_outcomes", report_from_outcomes)
+        report = evaluate(model, samples)
+        positives = sum(sample.label for sample in samples)
+        flagged = report.confusion.tp + report.confusion.fp
+        # one detag for each gold target and each generated sequence
+        assert len(detagged) == positives + flagged
+        assert len(parsed) == len(detagged)
+        assert parsed_in_report == [0]
 
     def test_overlong_labeled_sample_is_rejected(self):
         from specsyn.model import Model, ModelConfig, SequenceTooLong, Vocab, reserved_tokens

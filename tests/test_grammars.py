@@ -153,13 +153,14 @@ class TestOneGrammarPerConcept:
 class TestOneLineListReader:
     TEXT = "# header\n\n  # indented note\n\tmax_rows  \nuser_port\n   \n"
 
-    def test_every_reader_skips_blanks_and_comments_alike(self, tmp_path):
+    def test_every_reader_skips_blanks_and_comments_alike(self, tmp_path, monkeypatch):
         expected = ("max_rows", "user_port")
         for name in ("kw.txt", "distractors.txt", "bool.lex", "unit.lex", "format.lex"):
             (tmp_path / name).write_text(self.TEXT, encoding="utf-8")
         assert load_keyword_file(tmp_path / "kw.txt").keywords == expected
         assert load_distractors(tmp_path / "distractors.txt") == expected
-        lex = load_lexicons(tmp_path)
+        monkeypatch.setenv("SPECSYN_LEXICON_DIR", str(tmp_path))
+        lex = load_lexicons()
         assert lex.bool_surfaces == lex.unit_surfaces == lex.format_surfaces == expected
 
     def test_spec_file_errors_count_skipped_lines(self, tmp_path):

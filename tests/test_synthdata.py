@@ -103,7 +103,6 @@ class TestComposePositive:
             s = compose_positive(t, distractors, i, library.keywords, lex)
             assert s.label and s.target
             assert detag(list(s.target), s.tags) == s.gold
-            parse_spec(s.gold)
 
     def test_keywords_present_in_text(self, library, distractors, lex):
         for i, t in enumerate(library.templates[:10]):
@@ -120,7 +119,7 @@ class TestComposePositive:
         tagged = tag_text(text, library.keywords, lex)
         target = sd._target_tokens(t, fillers, tagged)
         assert target == ("<keyword1>", ">", "<num1>")
-        assert sd._concrete_spec(t.target, fillers) == "user_port > 1500"
+        assert sd._concrete_spec(t.target, fillers) == parse_spec("user_port > 1500")
 
     def test_complex_multi_shared_bool_tag(self, library, lex):
         t = next(x for x in library.templates if x.id == "cm-bool-pair")
@@ -134,7 +133,7 @@ class TestComposePositive:
             "<keyword1>", "==", "<bool1>", "and", "<keyword2>", "==", "<bool1>",
         )
         gold = sd._concrete_spec(t.target, fillers)
-        assert gold == "have_ssl == true and have_open_ssl == true"
+        assert gold == parse_spec("have_ssl == true and have_open_ssl == true")
 
     def test_slot_range_error(self, library, distractors, lex):
         impossible = SeedTemplate(
@@ -281,12 +280,31 @@ class TestSerialization:
         sample = LabeledSample(
             "<keyword1> > <num1>", {"keyword1": "user_port", "num1": "1500"},
             True, ("<keyword1>", ">", "<num1>"),
-            Category.QUANTITATIVE, ExtractionType.SIMPLE, "user_port > 1500",
+            Category.QUANTITATIVE, ExtractionType.SIMPLE, parse_spec("user_port > 1500"),
         )
         record = sd.sample_to_dict(sample)
         assert set(record) == {"text", "tags", "label", "target", "category", "type"}
         assert record["label"] == 1
         assert sd.sample_from_dict(record) == sample
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", 5),
+        ("tags", {"num1": 3}),
+        ("tags", ["num1"]),
+        ("target", "<num1>"),
+        ("target", [1]),
+        ("label", 2),
+        ("label", "1"),
+    ])
+    def test_field_types_checked(self, field, value):
+        record = {"text": "x", "tags": {}, "label": 0, "target": [], "category": None,
+                  "type": "simple", field: value}
+        with pytest.raises(TypeError, match=f"^field '{field}' must "):
+            sd.sample_from_dict(record)
+
+    def test_bool_label_accepted(self):
+        record = {"text": "x", "tags": {}, "label": False, "target": [], "type": "simple"}
+        assert not sd.sample_from_dict(record).label
 
     def test_byte_identical_saves(self, library, distractors, lex, tmp_path):
         ds = build_dataset(library, distractors, 50, 0.3, rng_seed=7, n_test=5, lexicons=lex)

@@ -2,6 +2,7 @@ import pytest
 
 from specsyn import tagger
 from specsyn.corpus import KeywordSet
+from specsyn.dsl import parse_spec
 from specsyn.tagger import (
     Lexicons,
     NonParsingOutput,
@@ -146,29 +147,23 @@ class TestLexicons:
         got = tag_text("it is 3 parsec away, aye", KW, custom)
         assert got.tags == {"num1": "3", "unit1": "parsec", "bool1": "aye"}
 
-    def test_explicit_dir_wins(self, tmp_path):
-        for name in ("bool.lex", "unit.lex", "format.lex"):
-            (tmp_path / name).write_text("zz\n", encoding="utf-8")
-        custom = load_lexicons(tmp_path)
-        assert custom.unit_surfaces == ("zz",)
-
 
 class TestDetag:
     T_PORT = {"keyword1": "user_port", "num1": "1500"}
 
     def test_simple_substitution(self):
         got = detag(["<keyword1>", ">", "<num1>"], self.T_PORT)
-        assert got == "user_port > 1500"
+        assert got == parse_spec("user_port > 1500")
 
     def test_interval(self):
         tags = {"keyword1": "max_rows", "num1": "2", "num2": "7"}
         got = detag(["<keyword1>", "in", "[", "<num1>", ",", "<num2>", "]"], tags)
-        assert got == "max_rows in [2, 7]"
+        assert got == parse_spec("max_rows in [2, 7]")
 
     def test_numeric_separators_stripped(self):
         tags = {"keyword1": "ulimit", "num1": "10,240"}
         got = detag(["<keyword1>", ">", "<num1>"], tags)
-        assert got == "ulimit > 10240"
+        assert got == parse_spec("ulimit > 10240")
 
     def test_bool_polarity(self):
         for surface, text in [
@@ -183,25 +178,26 @@ class TestDetag:
             ("false", "false"),
         ]:
             got = detag(["<keyword1>", "==", "<bool1>"], {"keyword1": "x", "bool1": surface})
-            assert got == f"x == {text}", surface
+            assert got == parse_spec(f"x == {text}"), surface
 
     def test_unit_carried_through(self):
         tags = {"keyword1": "buffer", "num1": "4", "unit1": "gb"}
         got = detag(["<keyword1>", "<", "<num1>", "<unit1>"], tags)
-        assert got == "buffer < 4 gb"
+        assert got == parse_spec("buffer < 4 gb")
 
     def test_format_value_is_quoted(self):
         tags = {"keyword1": "datadir", "format1": "absolute path"}
         got = detag(["format", "(", "<keyword1>", ",", "<format1>", ")"], tags)
-        assert got == 'format(datadir, "absolute path")'
+        assert got == parse_spec('format(datadir, "absolute path")')
 
     def test_functional_and_connective_forms(self):
         tags = {"keyword1": "have_ssl", "keyword2": "have_open_ssl", "bool1": "True"}
         tokens = [
             "<keyword1>", "==", "<bool1>", "and", "<keyword2>", "==", "<bool1>",
         ]
-        assert detag(tokens, tags) == "have_ssl == true and have_open_ssl == true"
-        assert detag(["use", "(", "<keyword1>", ")"], tags) == "use(have_ssl)"
+        want = parse_spec("have_ssl == true and have_open_ssl == true")
+        assert detag(tokens, tags) == want
+        assert detag(["use", "(", "<keyword1>", ")"], tags) == parse_spec("use(have_ssl)")
 
     def test_unknown_tag(self):
         with pytest.raises(UnknownTagError):
@@ -215,7 +211,7 @@ class TestDetag:
 
     def test_output_is_canonical(self):
         tags = {"keyword1": "x", "num1": "0005"}
-        assert detag(["<keyword1>", "==", "<num1>"], tags) == "x == 5"
+        assert detag(["<keyword1>", "==", "<num1>"], tags) == parse_spec("x == 5")
 
 
 class TestRendering:
