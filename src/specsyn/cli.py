@@ -51,7 +51,7 @@ from .synthdata import (
     load_seed_library,
     save_dataset,
 )
-from .tagger import TagError, load_lexicons, tag_text
+from .tagger import TAG_ID_RE, TAG_SLOTS, TagError, load_lexicons, tag_text
 
 log = logging.getLogger("specsyn")
 
@@ -181,6 +181,13 @@ def _cmd_synthesize(args) -> int:
             # the decoder may only emit tags whose literal it was shown
             tags = {tag_id: surface for tag_id, surface in tags.items()
                     if f"<{tag_id}>" in tokens}
+        lost = [surface for tag_id, surface in tags.items()
+                if int(TAG_ID_RE.fullmatch(tag_id).group(2)) > TAG_SLOTS]
+        if lost:
+            log.warning(
+                "candidate from %s has literals past tag slot %d, seen as [UNK]: %s",
+                candidate.source, TAG_SLOTS, ", ".join(map(repr, lost)),
+            )
         result = infer(model, " ".join(tokens), tags)
         if not result.flagged:
             continue

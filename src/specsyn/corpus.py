@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from . import dsl
 from .files import InputError, content_lines, write_jsonl
 
 
@@ -66,11 +67,11 @@ class KeywordSet:
 
 
 def _bad_keyword(keywords):
-    """(index, reason) of the first keyword that is empty, holds whitespace
-    or repeats an earlier one; None when all are fine."""
+    """(index, reason) of the first keyword that a rule cannot name once
+    lowercased, or that repeats an earlier one; None when all are fine."""
     seen = set()
     for i, kw in enumerate(keywords):
-        if not kw or kw.split() != [kw]:
+        if not dsl.is_rule_keyword(kw.lower()):
             return i, f"bad keyword {kw!r}"
         if kw in seen:
             return i, f"keyword {kw!r} is repeated"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .files import InputError, content_lines
 
@@ -98,11 +98,17 @@ _RESERVED = frozenset(
 _KEYWORD_FORBIDDEN = frozenset({"and", "or", "in", "true", "false"})
 
 
+def is_rule_keyword(name: str) -> bool:
+    """Whether a rule can name `name` as its keyword; keyword files and
+    rules share this grammar."""
+    return KEYWORD_RE.fullmatch(name) is not None and name not in _KEYWORD_FORBIDDEN
+
+
 def _check_keyword_token(name: str, what: str) -> None:
-    if not KEYWORD_RE.fullmatch(name):
-        raise ValidationError(f"{what} {name!r} is not a valid keyword token")
-    if name in _KEYWORD_FORBIDDEN:
-        raise ValidationError(f"{what} {name!r} collides with a reserved word")
+    if not is_rule_keyword(name):
+        problem = ("collides with a reserved word" if name in _KEYWORD_FORBIDDEN
+                   else "is not a valid keyword token")
+        raise ValidationError(f"{what} {name!r} {problem}")
 
 
 def format_number(magnitude: float) -> str:
@@ -253,36 +259,33 @@ def single(rule: Rule) -> Specification:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# each match skips whitespace and reads one token; the text ends in "eof", and
+# a character that starts no token is "bad"
 _TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<number>-?\d+(?:\.\d+)?)
+    rf"""\s*(?:(?P<number>-?\d+(?:\.\d+)?)
       | (?P<ident>{_KEYWORD})
       | (?P<string>"[^"\n]*")
       | (?P<op>==|!=|>|<)
       | (?P<punct>[()\[\]{{}},%])
+      | (?P<eof>\Z)
+      | (?P<bad>.))
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | ident | string | op | punct | eof
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+    tokens = [_Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for token in tokens:
+        if token.kind == "bad":
+            raise DslSyntaxError(f"unexpected character {token.text!r}", token.pos)
     return tokens
 
 

@@ -1,5 +1,6 @@
 """Detection + generation network, training, and model persistence."""
 
+from ..tagger import TAG_SLOTS
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .gradcheck import grad_check
 from .network import (
@@ -22,7 +23,6 @@ from .vocab import (
     CLS_ID,
     EOS_ID,
     PAD_ID,
-    TAG_SLOTS,
     UNK_ID,
     Vocab,
     reserved_tokens,

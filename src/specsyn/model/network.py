@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsl import Category
-from ..tagger import TagClass
+from ..tagger import TAG_SLOTS, TagClass
 from .vocab import (
     BOS_ID,
     CLS_ID,
     EOS_ID,
     ModelError,
     PAD_ID,
-    TAG_SLOTS,
     UNK_ID,
     Vocab,
 )

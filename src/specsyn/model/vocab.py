@@ -8,7 +8,7 @@ is deterministic.
 
 from collections.abc import Iterable, Sequence
 
-from ..tagger import TAG_TOKEN_RE, TagClass
+from ..tagger import TAG_SLOTS, TAG_TOKEN_RE, TagClass
 
 
 class ModelError(Exception):
@@ -17,8 +17,6 @@ class ModelError(Exception):
 
 PAD, UNK, CLS, BOS, EOS = "[PAD]", "[UNK]", "[CLS]", "[BOS]", "[EOS]"
 PAD_ID, UNK_ID, CLS_ID, BOS_ID, EOS_ID = 0, 1, 2, 3, 4
-
-TAG_SLOTS = 8
 
 
 def reserved_tokens() -> tuple[str, ...]:

@@ -13,11 +13,12 @@ import enum
 import os
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .corpus import KeywordSet, _keyword_pattern
+from .corpus import KeywordSet
 from .files import content_lines
 
 
@@ -55,6 +56,9 @@ _PRIORITY = {
 # angle brackets ("<num1>"). The model's tokenizer splits on TAG_TOKEN_RE.
 TAG_ID_RE = re.compile(rf"({'|'.join(cls.value for cls in TagClass)})(\d+)")
 TAG_TOKEN_RE = re.compile(rf"<{TAG_ID_RE.pattern}>")
+# The model reserves a token for slots 1..TAG_SLOTS of each class; a literal
+# tagged in a higher slot reaches it as [UNK].
+TAG_SLOTS = 8
 
 # integers and decimals, optional sign and thousands separators; the config
 # checker reads observed values with the same grammar
@@ -99,17 +103,9 @@ class TaggedCandidate:
     tags: dict  # T: tag id -> surface, in order of first occurrence
 
 
-def _boundary_ok(text: str, start: int, end: int, surface: str) -> bool:
-    """Word-boundary guard applied only at alphanumeric lexeme edges."""
-    if surface[0] in _WORD and start > 0 and text[start - 1] in _WORD:
-        return False
-    if surface[-1] in _WORD and end < len(text) and text[end] in _WORD:
-        return False
-    return True
-
-
 def _number_guard_ok(text: str, start: int, end: int) -> bool:
-    # never split a dotted version like 11.7.8 into separate numbers
+    # never split a dotted version like 11.7.8 into separate numbers; kept in
+    # Python because str.isdigit, unlike a regex \d, counts "²" as a digit
     if start > 0 and (text[start - 1] in _WORD or
                       (text[start - 1] == "." and start > 1 and text[start - 2].isdigit())):
         return False
@@ -119,79 +115,66 @@ def _number_guard_ok(text: str, start: int, end: int) -> bool:
     return True
 
 
-def _match_number(text: str, i: int):
-    m = NUMBER_RE.match(text, i)
-    if m is None:
-        return None
-    lexeme = m.group()
-    if _number_guard_ok(text, i, i + len(lexeme)):
-        return lexeme
-    # retry without the fractional part (guards against version strings)
-    integral = lexeme.split(".")[0]
-    if integral != lexeme and _number_guard_ok(text, i, i + len(integral)):
-        return integral
-    return None
+def _guarded(surface: str) -> str:
+    """A lexicon surface that does not start or end inside a word."""
+    head = "(?<![a-z0-9_])" if surface[0] in _WORD else ""
+    tail = "(?![a-z0-9_])" if surface[-1] in _WORD else ""
+    return head + re.escape(surface) + tail
 
 
-class _Matcher:
-    def __init__(self, keywords, lexicons: Lexicons):
-        if isinstance(keywords, KeywordSet):
-            keywords = keywords.keywords
-        self.keyword_pattern = _keyword_pattern(tuple(keywords)) if keywords else None
-        self.lexicons = lexicons
-        self._sorted = {
-            cls: sorted(lexicons.surfaces(cls), key=len, reverse=True)
-            for cls in (TagClass.FORMAT, TagClass.BOOL, TagClass.UNIT)
-        }
+@lru_cache(maxsize=64)
+def _patterns(keywords: KeywordSet, lexicons: Lexicons):
+    """The start, keyword and lexicon patterns, and each surface's class.
 
-    def best_at(self, text: str, i: int):
-        """Longest match at position i; ties break on class priority."""
-        candidates = []
-        if self.keyword_pattern is not None:
-            m = self.keyword_pattern.match(text, i)
-            if m:
-                candidates.append((TagClass.KEYWORD, m.group()))
-        for cls, surfaces in self._sorted.items():
-            for surface in surfaces:
-                if text.startswith(surface, i) and _boundary_ok(
-                    text, i, i + len(surface), surface
-                ):
-                    candidates.append((cls, surface))
-                    break  # surfaces sorted longest first
-        lexeme = _match_number(text, i)
-        if lexeme is not None:
-            candidates.append((TagClass.NUM, lexeme))
-        if not candidates:
-            return None
-        return max(candidates, key=lambda c: (len(c[1]), _PRIORITY[c[0]]))
+    The lexicon alternation tries surfaces longest first, so its one match
+    is the longest lexicon literal at a position. The start pattern matches
+    wherever a keyword, a lexicon surface or a number can start."""
+    # ascending priority, so a surface in two classes keeps the higher one
+    classes = {surface: cls for cls in (TagClass.UNIT, TagClass.BOOL, TagClass.FORMAT)
+               for surface in lexicons.surfaces(cls)}
+    lexicon = "|".join(_guarded(s) for s in sorted(classes, key=len, reverse=True)) or "(?!)"
+    keyword = keywords.pattern()
+    start = re.compile(f"(?i:{keyword.pattern})|{lexicon}|{NUMBER_RE.pattern}")
+    return start, keyword, re.compile(lexicon), classes
 
 
-def tag_text(text: str, keywords, lexicons: Lexicons | None = None) -> TaggedCandidate:
-    """Replace literal patterns in (lowercased) text with numbered tags."""
-    if lexicons is None:
-        lexicons = load_lexicons()
-    matcher = _Matcher(keywords, lexicons)
+def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandidate:
+    """Replace literal patterns in (lowercased) text with numbered tags.
+
+    The scan searches for the next place where a keyword, lexicon surface or
+    number can start. There the longest of the three wins, and equal lengths
+    go to the class with the higher priority; text between literals is
+    copied as it stands."""
+    start_re, keyword_re, lexicon_re, classes = _patterns(keywords, lexicons)
     low = text.lower()
     ids: dict = {}  # (class, surface) -> tag id
     counters = {cls: 0 for cls in TagClass}
     tags: dict = {}
     out = []
     i = 0
-    while i < len(low):
-        found = matcher.best_at(low, i)
-        if found is None:
-            out.append(low[i])
-            i += 1
+    while (start := start_re.search(low, i)) is not None:
+        at = start.start()
+        out.append(low[i:at])
+        found = []
+        if m := keyword_re.match(low, at):
+            found.append((TagClass.KEYWORD, m.group()))
+        if m := lexicon_re.match(low, at):
+            found.append((classes[m.group()], m.group()))
+        if (m := NUMBER_RE.match(low, at)) and _number_guard_ok(low, at, m.end()):
+            found.append((TagClass.NUM, m.group()))
+        if not found:
+            out.append(low[at])
+            i = at + 1
             continue
-        cls, surface = found
-        key = (cls, surface)
+        key = cls, surface = max(found, key=lambda c: (len(c[1]), _PRIORITY[c[0]]))
         if key not in ids:
             counters[cls] += 1
             tag_id = f"{cls.value}{counters[cls]}"
             ids[key] = tag_id
             tags[tag_id] = surface
         out.append(f"<{ids[key]}>")
-        i += len(surface)
+        i = at + len(surface)
+    out.append(low[i:])
     return TaggedCandidate("".join(out), tags)
 
 

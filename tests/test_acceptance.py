@@ -42,7 +42,7 @@ from specsyn.synthdata import (
     default_distractors,
     default_library,
 )
-from specsyn.tagger import detag, tag_text
+from specsyn.tagger import detag, load_lexicons, tag_text
 
 
 def announce(capsys, number, name, ok, detail=""):
@@ -246,13 +246,14 @@ def test_criterion_7_two_step_contract(protocol, capsys):
     base = protocol.library.keywords
     keywords = KeywordSet(base.software, (*base.keywords, "mysql"))
 
-    tagged = tag_text("See page 157 for details of MySQL 11.7.8", keywords)
+    tagged = tag_text("See page 157 for details of MySQL 11.7.8", keywords, load_lexicons())
     h = model.encode_text(tagged.text)
     false_positive_flagged = predicted_label(model.detect(h))
 
     tagged = tag_text(
         "It is necessary to use a number greater than 1500 for user_port",
         keywords,
+        load_lexicons(),
     )
     h = model.encode_text(tagged.text)
     flagged = predicted_label(model.detect(h))

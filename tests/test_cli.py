@@ -232,6 +232,30 @@ class TestSynthesize:
         assert seen == [{"keyword1": "user_port", "num1": "1500"}]
         assert (tmp_path / "specs.spec").read_text() == "use(user_port)\n"
 
+    def test_literals_past_the_last_tag_slot_are_reported(self, tmp_path, monkeypatch, caplog):
+        config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=32)
+        save_checkpoint(Model.initialize(config, Vocab(reserved_tokens())), tmp_path / "m.spsy")
+        # ten numbers: <num9> and <num10> have no reserved token
+        (tmp_path / "doc.txt").write_text(
+            "Set max_rows to 1, 2, 3, 4, 5, 6, 7, 8, 9 or 10.\n"
+            "Keep max_rows below 8.\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "kw.txt").write_text("max_rows\n", encoding="utf-8")
+        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([1.0, 0.0]))
+        status = cli.main([
+            "synthesize", "--model", str(tmp_path / "m.spsy"),
+            "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
+            "--out", str(tmp_path / "specs.spec"),
+        ])
+        assert status == 0
+        warnings = [r.getMessage() for r in caplog.records if "tag slot" in r.getMessage()]
+        # one warning per candidate that holds the first sentence, none for the second alone
+        assert warnings == [
+            f"candidate from {source} has literals past tag slot 8, seen as [UNK]: '9', '10'"
+            for source in ("doc.txt:0", "doc.txt:0-1")
+        ]
+
     def test_each_emitted_rule_is_parsed_once(self, tmp_path, monkeypatch):
         config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=32)
         save_checkpoint(Model.initialize(config, Vocab(reserved_tokens())), tmp_path / "m.spsy")
@@ -429,6 +453,14 @@ BAD_INPUTS = {
     "keyword with a space": (
         {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"user_port\nmax rows\n"},
         INGEST, {}, "kw.txt:2: bad keyword 'max rows'",
+    ),
+    "reserved word as keyword": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"max_rows\nAND\n"},
+        INGEST, {}, "kw.txt:2: bad keyword 'AND'",
+    ),
+    "keyword starting with a digit": (
+        {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"max_rows\n\n9lives\n"},
+        INGEST, {}, "kw.txt:3: bad keyword '9lives'",
     ),
     "no keyword": (
         {"doc.txt": DOC.encode("utf-8"), "kw.txt": b"# none yet\n"},

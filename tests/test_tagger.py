@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from specsyn import tagger
+import tag_oracle
+from specsyn import synthdata, tagger
 from specsyn.corpus import KeywordSet
 from specsyn.dsl import parse_spec
 from specsyn.tagger import (
@@ -126,6 +129,73 @@ class TestTagging:
             got = tag_text(text, KW, lex)
             used = set(re.findall(r"<((?:bool|num|unit|keyword|format)\d+)>", got.text))
             assert used == set(got.tags)
+
+
+# "have_ssl" is a prefix of "have_ssl_mode", and "max" of "max_rows"
+PREFIX_KW = KeywordSet("x", ("max", "max_rows", "have_ssl", "have_ssl_mode", "--log.level"))
+
+# text that sits next to literals: flags, versions, thousands groups, and
+# characters whose digit-ness or lowercase form is easy to get wrong
+PIECES = (
+    "max_rows", "MAX_ROWS", "--max_rows", "--ssl", "--log.level", "have_ssl_mode",
+    "11.7.8", "1,234", "12,34", "1,234.5", "-7", ".5", "3²", "²", "٣", "İ", "x3².1,234",
+    "a", "_", "-", ".", ",", "%", " ", " ", " ", "\n",
+)
+
+
+def random_text(rng: random.Random, lex: Lexicons) -> str:
+    surfaces = lex.bool_surfaces + lex.unit_surfaces + lex.format_surfaces
+    parts = []
+    for _ in range(rng.randint(0, 14)):
+        roll = rng.random()
+        if roll < 0.35:
+            part = rng.choice(surfaces)
+            parts.append(part.upper() if rng.random() < 0.2 else part)
+        elif roll < 0.55:
+            parts.append(str(rng.randint(0, 10 ** rng.randint(1, 7))))
+        else:
+            parts.append(rng.choice(PIECES))
+        if rng.random() < 0.5:  # otherwise glued to the next piece
+            parts.append(rng.choice(" .,;-_"))
+    return "".join(parts)
+
+
+class TestOracle:
+    """`tag_text` tags exactly as the per-position reference in tests/tag_oracle.py."""
+
+    @pytest.mark.parametrize("keywords", [KW, PREFIX_KW], ids=["mysql", "prefixes"])
+    def test_random_text(self, lex, keywords):
+        rng = random.Random(6021)
+        for _ in range(3000):
+            text = random_text(rng, lex)
+            assert tag_text(text, keywords, lex) == tag_oracle.tag_text(text, keywords, lex), text
+
+    def test_surface_in_two_classes_and_an_empty_class(self):
+        custom = Lexicons(bool_surfaces=("on", "off", "k"), unit_surfaces=("k", "kb", "s"),
+                          format_surfaces=())
+        rng = random.Random(6022)
+        texts = ["set max_rows to 4 k or 4 kb, on", "k k-k 3k 3 k_ kb kbs"]
+        texts += [random_text(rng, custom) for _ in range(2000)]
+        for text in texts:
+            want = tag_oracle.tag_text(text, PREFIX_KW, custom)
+            assert tag_text(text, PREFIX_KW, custom) == want, text
+        assert tag_text("4 k", PREFIX_KW, custom).tags == {"num1": "4", "bool1": "k"}
+
+    def test_every_composed_text(self, monkeypatch, lex):
+        seen = []
+
+        def checked(text, keywords, lexicons):
+            got = tag_text(text, keywords, lexicons)
+            assert got == tag_oracle.tag_text(text, keywords, lexicons), text
+            seen.append(text)
+            return got
+
+        monkeypatch.setattr(synthdata, "tag_text", checked)
+        synthdata.build_dataset(
+            synthdata.default_library(), synthdata.default_distractors(),
+            n_total=400, n_test=40, rng_seed=3, lexicons=lex,
+        )
+        assert len(seen) == 400
 
 
 class TestLexicons:
