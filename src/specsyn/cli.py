@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .corpus import (
 )
 from .dsl import DslError, Specification, load_spec_file, save_spec_file
 from .eval import EvalError, evaluate, infer, render_report
-from .files import InputError, read_text, write_json
+from .files import InputError, read_text, write_json, write_output
 from .model import (
     ModelConfig,
     ModelError,
@@ -146,13 +147,12 @@ def _cmd_train(args) -> int:
     result = train(samples, config, model_config)
     save_checkpoint(result.model, args.out)
     if args.log:
-        with open(args.log, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "total", "detection", "generation", "category"])
-            for epoch, loss in enumerate(result.loss_log, start=1):
-                writer.writerow(
-                    [epoch, loss.total, loss.detection, loss.generation, loss.category]
-                )
+        rows = io.StringIO(newline="")
+        writer = csv.writer(rows)
+        writer.writerow(["epoch", "total", "detection", "generation", "category"])
+        for epoch, loss in enumerate(result.loss_log, start=1):
+            writer.writerow([epoch, loss.total, loss.detection, loss.generation, loss.category])
+        write_output(args.log, rows.getvalue())
     _write_effective_config("train", args, args.out)
     final = result.loss_log[-1].total if result.loss_log else float("nan")
     log.info("trained %d epochs on %d samples, final loss %.4f", args.epochs, len(samples), final)

@@ -81,13 +81,15 @@ def _bad_keyword(keywords):
 
 @lru_cache(maxsize=64)
 def _keyword_pattern(keywords: tuple) -> re.Pattern:
-    # word-boundary match, case-insensitive, optional --flag prefix
+    # word-boundary match, optional --flag prefix, case folded over ASCII
+    # only: full Unicode folding would let "ſ", "ı" or the Kelvin sign stand
+    # for "s", "i" or "k" in a keyword (and in its edge guards)
     alternatives = "|".join(
         re.escape(kw) for kw in sorted(keywords, key=len, reverse=True)
     )
     return re.compile(
         rf"(?<![A-Za-z0-9_-])(?:--)?(?:{alternatives})(?![A-Za-z0-9_-])",
-        re.IGNORECASE,
+        re.IGNORECASE | re.ASCII,
     )
 
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
-from .files import InputError, content_lines
+from .files import InputError, content_lines, write_output
 
 
 class DslError(ValueError):
@@ -518,6 +518,4 @@ def load_spec_file(path) -> list[Specification]:
 
 
 def save_spec_file(path, specs: Iterable[Specification]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for spec in specs:
-            fh.write(print_spec(spec) + "\n")
+    write_output(path, "".join(print_spec(spec) + "\n" for spec in specs))

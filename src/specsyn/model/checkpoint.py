@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from ..files import write_output
 from .network import Model, ModelConfig, ModelError, param_shapes
 from .vocab import Vocab
 
@@ -26,33 +27,25 @@ class CheckpointError(ModelError):
     """Unreadable or incompatible checkpoint file."""
 
 
-def _write_u32(out, value: int) -> None:
-    out.write(struct.pack("<I", value))
+def _u32(value: int) -> bytes:
+    return struct.pack("<I", value)
 
 
-def _write_str(out, text: str) -> None:
+def _str(text: str) -> bytes:
     data = text.encode("utf-8")
-    _write_u32(out, len(data))
-    out.write(data)
+    return _u32(len(data)) + data
 
 
 def save_checkpoint(model: Model, path) -> None:
     tensors = dict(model.params)
     tensors["meta/num_heads"] = np.asarray(float(model.config.heads))
-    with open(path, "wb") as out:
-        out.write(MAGIC)
-        _write_u32(out, VERSION)
-        _write_u32(out, len(model.vocab))
-        for token in model.vocab.tokens:
-            _write_str(out, token)
-        _write_u32(out, len(tensors))
-        for name in sorted(tensors):
-            tensor = np.ascontiguousarray(tensors[name], dtype="<f8")
-            _write_str(out, name)
-            _write_u32(out, tensor.ndim)
-            for dim in tensor.shape:
-                _write_u32(out, dim)
-            out.write(tensor.tobytes())
+    parts = [MAGIC, _u32(VERSION), _u32(len(model.vocab))]
+    parts += map(_str, model.vocab.tokens)
+    parts.append(_u32(len(tensors)))
+    for name in sorted(tensors):
+        tensor = np.ascontiguousarray(tensors[name], dtype="<f8")
+        parts += [_str(name), _u32(tensor.ndim), *map(_u32, tensor.shape), tensor.tobytes()]
+    write_output(path, b"".join(parts))
 
 
 class _Reader:

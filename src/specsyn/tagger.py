@@ -134,7 +134,7 @@ def _patterns(keywords: KeywordSet, lexicons: Lexicons):
                for surface in lexicons.surfaces(cls)}
     lexicon = "|".join(_guarded(s) for s in sorted(classes, key=len, reverse=True)) or "(?!)"
     keyword = keywords.pattern()
-    start = re.compile(f"(?i:{keyword.pattern})|{lexicon}|{NUMBER_RE.pattern}")
+    start = re.compile(f"(?ai:{keyword.pattern})|{lexicon}|{NUMBER_RE.pattern}")
     return start, keyword, re.compile(lexicon), classes
 
 

@@ -55,7 +55,7 @@ def announce(capsys, number, name, ok, detail=""):
 def protocol(tmp_path_factory):
     """Synthetic protocol at full scale: 50 seeds -> 3,000 train / 250
     test, 100 epochs with default hyperparameters. Shared by criteria 6
-    and 7 and the pipeline smoke tests."""
+    and 7 and the pipeline smoke tests, each marked ``slow``."""
     library = default_library()
     start = time.perf_counter()
     dataset = build_dataset(
@@ -210,6 +210,7 @@ def test_criterion_5_gradient_verification(capsys):
     assert elapsed < 120
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_protocol(protocol, capsys):
     report = protocol.report
     by_type = report.by_type
@@ -241,6 +242,7 @@ def test_criterion_6_synthetic_protocol(protocol, capsys):
     assert protocol.elapsed <= 15 * 60
 
 
+@pytest.mark.slow
 def test_criterion_7_two_step_contract(protocol, capsys):
     model = protocol.model
     base = protocol.library.keywords
@@ -365,6 +367,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
     assert not mismatched
 
 
+@pytest.mark.slow
 def test_training_loss_trend(protocol):
     """Ten-epoch moving average of the total loss must not rise end to end."""
     totals = [entry.total for entry in protocol.loss_log]
@@ -374,6 +377,7 @@ def test_training_loss_trend(protocol):
     assert tail < head
 
 
+@pytest.mark.slow
 def test_synthesize_skips_false_positive_document(protocol, tmp_path):
     """A document holding only the page-reference sentence yields one
     candidate, zero detections, and an empty spec file."""
@@ -394,6 +398,7 @@ def test_synthesize_skips_false_positive_document(protocol, tmp_path):
     assert (tmp_path / "specs.spec").read_text() == ""
 
 
+@pytest.mark.slow
 def test_full_pipeline_smoke(protocol, tmp_path):
     """ingest -> synthesize -> check over the shipped fixtures: exit 0,
     a non-empty spec file, and every rule well-formed."""

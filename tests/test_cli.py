@@ -423,6 +423,49 @@ class TestCheck:
         assert [(v["key"], v["line"]) for v in payload] == [("port", 2)]
 
 
+def test_rerun_over_longer_outputs_is_byte_identical(tmp_path):
+    """Every command rewrites its outputs in place: a rerun into files that
+    hold junk twice as long as the first run's output leaves exactly the
+    first run's bytes, with no stale tail."""
+    inputs = {
+        "doc.txt": DOC,
+        "kw.txt": KEYWORDS,
+        "rules.spec": "user_port > 1500\nuse ( ssl )\n",
+        "my.cnf": "user_port = 1433\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    document = ["--input", "doc.txt", "--keywords", "kw.txt"]
+    commands = [
+        (0, ["ingest", *document, "--out", "candidates.jsonl"]),
+        (0, ["compose", "--n", 120, "--test-n", 24,
+             "--out", "train.jsonl", "--test-out", "test.jsonl"]),
+        (0, ["train", "--data", "train.jsonl", "--epochs", 3,
+             "--d-model", 16, "--blocks", 1, "--max-len", 48,
+             "--out", "model.spsy", "--log", "loss.csv"]),
+        (0, ["eval", "--model", "model.spsy", "--data", "test.jsonl", "--report", "eval.json"]),
+        (0, ["synthesize", "--model", "model.spsy", *document,
+             "--out", "specs.spec", "--report", "synth.json"]),
+        (1, ["check", "--specs", "rules.spec", "--config", "my.cnf", "--report", "check.json"]),
+    ]
+
+    def run_all():
+        for status, argv in commands:
+            proc = run_cli(*argv, cwd=tmp_path)
+            assert proc.returncode == status, proc.stderr
+        return {
+            path.name: path.read_bytes()
+            for path in sorted(tmp_path.iterdir())
+            if path.name not in inputs
+        }
+
+    first = run_all()
+    assert len(first) == 15
+    for name, data in first.items():
+        (tmp_path / name).write_bytes(b"x" * max(2 * len(data), 64))
+    assert run_all() == first
+
+
 NO_TAGS = b'{"text": "x", "label": 0, "target": [], "category": null, "type": "simple"}\n'
 NUMBER_TEXT = b'{"text": 5, "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
 SAMPLE = b'{"text": "x", "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'

@@ -202,6 +202,18 @@ class TestKeywordSet:
     def test_flag_form(self):
         assert KW.find("pass --user_port at startup") == ["user_port"]
 
+    @pytest.mark.parametrize("keyword, text", [
+        ("ssl_mode", "set ſſl_mode"),  # long s folds to s
+        ("innodb_x", "set ınnodb_x"),  # dotless i folds to i
+        ("key_size", "set \u212aey_size"),  # Kelvin sign folds to k
+    ])
+    def test_case_folds_over_ascii_only(self, keyword, text):
+        assert KeywordSet("x", (keyword,)).find(text) == []
+        assert KeywordSet("x", (keyword,)).find(text.replace("set ", "set --")) == []
+
+    def test_non_ascii_letter_is_no_word_edge(self):
+        assert KeywordSet("x", ("ssl_mode",)).find("ſssl_mode and ıssl_mode") == ["ssl_mode"]
+
     def test_order_of_first_occurrence(self):
         assert KW.find("user_port then max_rows then user_port") == [
             "user_port",

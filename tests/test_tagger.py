@@ -112,6 +112,14 @@ class TestTagging:
         got = tag_text("TRUE then true", KW, lex)
         assert got.text == "<bool1> then <bool1>"
 
+    def test_keywords_fold_ascii_case_only(self, lex):
+        keywords = KeywordSet("x", ("ssl_mode", "ulimit"))
+        got = tag_text("set ſſl_mode and ulımıt on", keywords, lex)
+        assert got.text == "set ſſl_mode and ulımıt <bool1>"
+        # str.lower turns the Kelvin sign into an ASCII k before the scan
+        got = tag_text("set \u212aey_size", KeywordSet("x", ("key_size",)), lex)
+        assert got.tags == {"keyword1": "key_size"}
+
     def test_retagging_is_stable(self, lex):
         text = "set max_rows to 10,000 bytes or 80% if true"
         assert tag_text(text, KW, lex) == tag_text(text, KW, lex)
@@ -139,6 +147,7 @@ PREFIX_KW = KeywordSet("x", ("max", "max_rows", "have_ssl", "have_ssl_mode", "--
 PIECES = (
     "max_rows", "MAX_ROWS", "--max_rows", "--ssl", "--log.level", "have_ssl_mode",
     "11.7.8", "1,234", "12,34", "1,234.5", "-7", ".5", "3²", "²", "٣", "İ", "x3².1,234",
+    "ſ", "ı", "\u212a", "max_rowſ", "have_ſſl",
     "a", "_", "-", ".", ",", "%", " ", " ", " ", "\n",
 )
 
