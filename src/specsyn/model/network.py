@@ -4,7 +4,9 @@ The network is a small pre-norm self-attention encoder over tagged text.
 The final hidden state at the [CLS] position is pooled through a tanh
 projection; the pooled vector feeds a 2-way detection decoder, a 5-way
 category decoder, and an LSTM that generates the tagged specification
-token sequence.
+token sequence. Since only the [CLS] row leaves the last block, that block
+computes its query, attention output and FFN for the [CLS] row alone, in
+the forward and the backward pass; its keys and values cover every position.
 
 Every parameter lives in a flat name -> float64 array mapping and every
 gradient is derived by hand, so the complete network can be checked
@@ -275,19 +277,23 @@ class Model:
         blocks = []
         for i in range(cfg.blocks):
             blk = f"block{i}"
+            # the last block computes the [CLS] row alone, the only row that
+            # leaves it; keys and values still cover every position. The
+            # full slice that earlier blocks take is a view, not a copy.
+            rows = slice(0, 1) if i == cfg.blocks - 1 else slice(None)
             a, ln1 = _layer_norm(h, p[f"{blk}/ln1/scale"], p[f"{blk}/ln1/shift"])
-            qh = _split_heads(a @ p[f"{blk}/attn/wq"], cfg.heads)
+            qh = _split_heads(a[:, rows] @ p[f"{blk}/attn/wq"], cfg.heads)
             kh = _split_heads(a @ p[f"{blk}/attn/wk"], cfg.heads)
             vh = _split_heads(a @ p[f"{blk}/attn/wv"], cfg.heads)
             scores = qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias
             att = _softmax(scores)
             ctx = _merge_heads(att @ vh)
-            h1 = h + ctx @ p[f"{blk}/attn/wo"]
+            h1 = h[:, rows] + ctx @ p[f"{blk}/attn/wo"]
             f, ln2 = _layer_norm(h1, p[f"{blk}/ln2/scale"], p[f"{blk}/ln2/shift"])
             u = f @ p[f"{blk}/ffn/w1"] + p[f"{blk}/ffn/b1"]
             r, gelu_t = _gelu(u)
             h = h1 + r @ p[f"{blk}/ffn/w2"] + p[f"{blk}/ffn/b2"]
-            blocks.append((a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
+            blocks.append((rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
 
         normed, final_ln = _layer_norm(h, p["final_ln/scale"], p["final_ln/shift"])
         h_cls = normed[:, 0]
@@ -301,13 +307,12 @@ class Model:
 
         dpooled = dh_c * (1.0 - h_c * h_c)
         _acc(grads, "pool/w1", h_cls.T @ dpooled)
-        dnormed = np.zeros((ids.shape[0], length, cfg.d_model))
-        dnormed[:, 0] = dpooled @ p["pool/w1"].T
+        dnormed = (dpooled @ p["pool/w1"].T)[:, None]
         dh = _layer_norm_grad(dnormed, final_ln, p["final_ln/scale"], grads, "final_ln")
 
         for i in reversed(range(cfg.blocks)):
             blk = f"block{i}"
-            a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2 = blocks[i]
+            rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2 = blocks[i]
 
             _acc(grads, f"{blk}/ffn/w2", _matgrad(r, dh))
             _acc(grads, f"{blk}/ffn/b2", dh.sum(axis=(0, 1)))
@@ -325,15 +330,16 @@ class Model:
             dqh = ds @ kh * scale
             dkh = ds.transpose(0, 1, 3, 2) @ qh * scale
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-            _acc(grads, f"{blk}/attn/wq", _matgrad(a, dq))
+            _acc(grads, f"{blk}/attn/wq", _matgrad(a[:, rows], dq))
             _acc(grads, f"{blk}/attn/wk", _matgrad(a, dk))
             _acc(grads, f"{blk}/attn/wv", _matgrad(a, dv))
-            da = (
-                dq @ p[f"{blk}/attn/wq"].T
-                + dk @ p[f"{blk}/attn/wk"].T
-                + dv @ p[f"{blk}/attn/wv"].T
-            )
-            dh = dh1 + _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1")
+            # the query and the residual reach only `rows`; the terms add in
+            # the order dq, dk, dv, as for a block that computes every row
+            da = dk @ p[f"{blk}/attn/wk"].T
+            da[:, rows] += dq @ p[f"{blk}/attn/wq"].T
+            da += dv @ p[f"{blk}/attn/wv"].T
+            dh = _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1")
+            dh[:, rows] += dh1
 
         _acc(grads, "embed/positions", np.zeros_like(p["embed/positions"]))
         grads["embed/positions"][:length] += dh.sum(axis=0)

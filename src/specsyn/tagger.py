@@ -1,7 +1,7 @@
 """Pattern tagging: concrete literals in candidate text become abstract tags.
 
 Tagging turns a candidate sentence into the tuple ⟨C, T⟩ where C is the
-lowercased text with literals replaced by tag tokens (``<num1>``,
+ASCII-lowercased text with literals replaced by tag tokens (``<num1>``,
 ``<keyword1>``, ...) and T maps each tag id back to the surface string it
 replaced.  ``detag`` is the inverse direction: it substitutes surfaces into a
 generated token sequence and parses the result into a ``dsl.Specification``.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import os
 import re
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -66,6 +67,10 @@ NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
 
 _WORD = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 
+# Text and lexicon lines fold case over ASCII only, as keyword matching does:
+# str.lower would turn the Kelvin sign into "k" and "İ" into two characters.
+ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
 
 @dataclass(frozen=True)
 class Lexicons:
@@ -82,7 +87,7 @@ class Lexicons:
 
 
 def _read_lexicon(path: Path) -> tuple:
-    return tuple(dict.fromkeys(line.lower() for _, line in content_lines(path)))
+    return tuple(dict.fromkeys(line.translate(ASCII_LOWER) for _, line in content_lines(path)))
 
 
 def load_lexicons() -> Lexicons:
@@ -99,7 +104,7 @@ def load_lexicons() -> Lexicons:
 
 @dataclass(frozen=True, eq=True)
 class TaggedCandidate:
-    text: str  # C: lowercased, literals replaced by tag tokens
+    text: str  # C: ASCII-lowercased, literals replaced by tag tokens
     tags: dict  # T: tag id -> surface, in order of first occurrence
 
 
@@ -139,14 +144,14 @@ def _patterns(keywords: KeywordSet, lexicons: Lexicons):
 
 
 def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandidate:
-    """Replace literal patterns in (lowercased) text with numbered tags.
+    """Replace literal patterns in text, lowercased over ASCII, with numbered tags.
 
     The scan searches for the next place where a keyword, lexicon surface or
     number can start. There the longest of the three wins, and equal lengths
     go to the class with the higher priority; text between literals is
     copied as it stands."""
     start_re, keyword_re, lexicon_re, classes = _patterns(keywords, lexicons)
-    low = text.lower()
+    low = text.translate(ASCII_LOWER)
     ids: dict = {}  # (class, surface) -> tag id
     counters = {cls: 0 for cls in TagClass}
     tags: dict = {}

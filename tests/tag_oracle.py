@@ -10,6 +10,7 @@ from __future__ import annotations
 from specsyn.corpus import KeywordSet, _keyword_pattern
 from specsyn.tagger import (
     _PRIORITY,
+    ASCII_LOWER,
     NUMBER_RE,
     Lexicons,
     TagClass,
@@ -88,11 +89,11 @@ class _Matcher:
 
 
 def tag_text(text: str, keywords, lexicons: Lexicons | None = None) -> TaggedCandidate:
-    """Replace literal patterns in (lowercased) text with numbered tags."""
+    """Replace literal patterns in text, lowercased over ASCII, with numbered tags."""
     if lexicons is None:
         lexicons = load_lexicons()
     matcher = _Matcher(keywords, lexicons)
-    low = text.lower()
+    low = text.translate(ASCII_LOWER)
     ids: dict = {}  # (class, surface) -> tag id
     counters = {cls: 0 for cls in TagClass}
     tags: dict = {}

@@ -166,7 +166,9 @@ def test_criterion_4_metric_reproduction(capsys):
     assert fixture.recall == pytest.approx(0.8174, abs=0.0005)
 
 
-def test_criterion_5_gradient_verification(capsys):
+def gradient_case():
+    """Criterion 5's vocabulary, batch (four rows of unequal length, so with
+    pad slots) and class weights."""
     texts = [
         "always keep <keyword1> equal to <bool1> and set <keyword2> "
         "to at least <num1> <unit1> .",
@@ -194,7 +196,11 @@ def test_criterion_5_gradient_verification(capsys):
         row(texts[2], 0, -1, []),
         row(texts[3], 0, -1, []),
     ])
-    weights = detection_weights([1, 1, 0, 0])
+    return vocab, batch, detection_weights([1, 1, 0, 0])
+
+
+def test_criterion_5_gradient_verification(capsys):
+    vocab, batch, weights = gradient_case()
     config = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
     model = Model.initialize(config, vocab, rng_seed=22)
 
@@ -208,6 +214,16 @@ def test_criterion_5_gradient_verification(capsys):
     )
     assert error < 1e-4
     assert elapsed < 120
+
+
+def test_gradient_verification_two_blocks():
+    """Criterion 5's check at two blocks, where gradient also flows from the
+    last block's keys and values into the block before it."""
+    vocab, batch, weights = gradient_case()
+    assert not batch.mask.all()
+    config = ModelConfig(d_model=16, blocks=2, heads=4, max_len=32)
+    model = Model.initialize(config, vocab, rng_seed=22)
+    assert grad_check(model, batch, weights, epsilon=1.5e-4) < 1e-4
 
 
 @pytest.mark.slow

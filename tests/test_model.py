@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import encoder_oracle
 from specsyn.corpus import ExtractionType
 from specsyn.dsl import Category
 from specsyn.model import (
@@ -37,6 +38,7 @@ from specsyn.model.network import GENERATE_MAX_TOKENS
 from specsyn.synthdata import LabeledSample
 
 SMALL = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
+TWO_BLOCKS = ModelConfig(d_model=16, blocks=2, heads=4, max_len=32)
 
 TEXTS = [
     "set <keyword1> to <num1> <unit1> before restart .",
@@ -221,17 +223,70 @@ class TestEncoder:
             assert np.all(np.isfinite(h))
 
     def test_pad_content_never_changes_outputs(self, model, batch, weights):
-        losses, grads = model.loss_and_grads(batch, weights)
-        alt_ids = batch.ids.copy()
-        alt_ids[~batch.mask] = 7  # arbitrary real token in the pad slots
-        alt = Batch(
-            alt_ids, batch.mask, batch.labels, batch.cat_ids,
-            batch.gen_in, batch.gen_out, batch.gen_mask,
-        )
-        alt_losses, alt_grads = model.loss_and_grads(alt, weights)
-        assert losses == alt_losses
-        for name, g in grads.items():
-            assert np.array_equal(g, alt_grads[name])
+        assert_pad_blind(model, batch, weights)
+
+    def test_pad_content_never_changes_outputs_two_blocks(self, vocab, batch, weights):
+        model = Model.initialize(TWO_BLOCKS, vocab, rng_seed=0)
+        assert_pad_blind(model, batch, weights)
+
+
+def assert_pad_blind(model, batch, weights):
+    losses, grads = model.loss_and_grads(batch, weights)
+    alt_ids = batch.ids.copy()
+    alt_ids[~batch.mask] = 7  # arbitrary real token in the pad slots
+    alt = Batch(
+        alt_ids, batch.mask, batch.labels, batch.cat_ids,
+        batch.gen_in, batch.gen_out, batch.gen_mask,
+    )
+    alt_losses, alt_grads = model.loss_and_grads(alt, weights)
+    assert losses == alt_losses
+    for name, g in grads.items():
+        assert np.array_equal(g, alt_grads[name])
+
+
+def relative_error(new, old) -> float:
+    """max |new - old| over max |old|: 0 when both are all zeros."""
+    scale = np.abs(old).max()
+    diff = np.abs(new - old).max()
+    return diff / scale if scale else diff
+
+
+class TestEncoderOracle:
+    """The encoder matches the full-width one kept in tests/encoder_oracle.py."""
+
+    def test_random_batches(self, vocab):
+        rng = np.random.default_rng(1109)
+        for trial in range(150):
+            config = ModelConfig(
+                d_model=int(rng.choice([8, 16])),
+                blocks=int(rng.integers(1, 4)),
+                heads=int(rng.choice([1, 2, 4])),
+                max_len=12,
+            )
+            model = Model.initialize(config, vocab, rng_seed=trial)
+            b = int(rng.integers(1, 9))
+            length = 1 if trial % 10 == 0 else int(rng.integers(2, 13))
+            mask = np.arange(length) < rng.integers(1, length + 1, size=(b, 1))
+            ids = rng.integers(0, len(vocab), size=(b, length))
+            ids[:, 0] = CLS_ID
+            ids[~mask] = PAD_ID
+            context = f"trial {trial}: {config}, B={b}, L={length}"
+
+            h_c, cache = model._encode_batch(ids, mask)
+            want, want_cache = encoder_oracle.encode_batch(model, ids, mask)
+            assert relative_error(h_c, want) < 1e-12, context
+            # blocks before the last keep the full-width arithmetic bit for bit
+            for new, old in zip(cache[3][:-1], want_cache[3][:-1]):
+                for x, y in zip(new[1:7], old[:6]):
+                    assert np.array_equal(x, y), context
+
+            dh_c = rng.normal(size=h_c.shape)
+            grads, want_grads = {}, {}
+            model._encode_backward(dh_c, cache, grads)
+            encoder_oracle.encode_backward(model, dh_c, want_cache, want_grads)
+            assert grads.keys() == want_grads.keys()
+            for name, g in want_grads.items():
+                assert relative_error(grads[name], g) < 1e-10, f"{context}, {name}"
 
 
 class TestGenerate:

@@ -116,9 +116,21 @@ class TestTagging:
         keywords = KeywordSet("x", ("ssl_mode", "ulimit"))
         got = tag_text("set ſſl_mode and ulımıt on", keywords, lex)
         assert got.text == "set ſſl_mode and ulımıt <bool1>"
-        # str.lower turns the Kelvin sign into an ASCII k before the scan
-        got = tag_text("set \u212aey_size", KeywordSet("x", ("key_size",)), lex)
-        assert got.tags == {"keyword1": "key_size"}
+
+    def test_case_folding_agrees_with_candidate_extraction(self, lex):
+        # str.lower would make the Kelvin sign an ASCII k, which KeywordSet.find,
+        # and so candidate extraction, never matches
+        keywords = KeywordSet("x", ("key_size",))
+        text = "set \u212aey_size to 4"
+        assert keywords.find(text) == []
+        got = tag_text(text, keywords, lex)
+        assert got.text == "set \u212aey_size to <num1>"
+        assert got.tags == {"num1": "4"}
+
+    def test_case_folding_keeps_every_character(self, lex):
+        # "İ".lower() is two characters, "i" and a combining dot
+        got = tag_text("İNNODB_\u212a key_size İN ON", KeywordSet("x", ("key_size",)), lex)
+        assert got.text == "İnnodb_\u212a <keyword1> İn <bool1>"
 
     def test_retagging_is_stable(self, lex):
         text = "set max_rows to 10,000 bytes or 80% if true"
@@ -212,6 +224,16 @@ class TestLexicons:
         assert "enabled" in lex.bool_surfaces
         assert "%" in lex.unit_surfaces
         assert "absolute path" in lex.format_surfaces
+
+    def test_lexicon_lines_fold_case_like_text(self, tmp_path, monkeypatch):
+        for name, content in [("bool.lex", "YES\nÉTÉ\n"), ("unit.lex", "kb\n"),
+                              ("format.lex", "url\n")]:
+            (tmp_path / name).write_text(content, encoding="utf-8")
+        monkeypatch.setenv("SPECSYN_LEXICON_DIR", str(tmp_path))
+        custom = load_lexicons()
+        assert custom.bool_surfaces == ("yes", "ÉtÉ")
+        got = tag_text("ÉTÉ or été, Yes", KW, custom)
+        assert got.text == "<bool1> or été, <bool2>"
 
     def test_env_override(self, tmp_path, monkeypatch):
         for name, content in [
