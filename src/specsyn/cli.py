@@ -31,7 +31,7 @@ from .corpus import (
     save_candidates,
 )
 from .dsl import DslError, Specification, load_spec_file, save_spec_file
-from .eval import EvalError, evaluate, infer, render_report
+from .eval import EvalError, evaluate, infer_batch, render_report
 from .files import InputError, read_text, write_json, write_output
 from .model import (
     ModelConfig,
@@ -165,9 +165,7 @@ def _cmd_synthesize(args) -> int:
     lexicons = load_lexicons()
 
     budget = model.config.max_len - 1  # one slot reserved for CLS
-    specs: list[Specification] = []
-    failures: list[dict] = []
-    detections = 0
+    items = []
     for candidate in candidates:
         tagged = tag_text(candidate.text, keywords, lexicons)
         tokens = tokenize(tagged.text)
@@ -188,7 +186,12 @@ def _cmd_synthesize(args) -> int:
                 "candidate from %s has literals past tag slot %d, seen as [UNK]: %s",
                 candidate.source, TAG_SLOTS, ", ".join(map(repr, lost)),
             )
-        result = infer(model, " ".join(tokens), tags)
+        items.append((" ".join(tokens), tags))
+
+    specs: list[Specification] = []
+    failures: list[dict] = []
+    detections = 0
+    for candidate, result in zip(candidates, infer_batch(model, items)):
         if not result.flagged:
             continue
         detections += 1

@@ -6,16 +6,19 @@ detection: only gold-positive samples the detector flagged count toward
 the denominator, and a match means the emitted `Specification` equals the
 gold one (formatting differences never penalize the generator).
 
-`infer` is the detect-generate-detag path itself; `synthesize` calls it too.
+`infer_batch` is the detect-generate-detag path itself; `synthesize` calls
+it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import ExtractionType
 from .dsl import Category, Specification, print_spec
-from .model import predicted_label
+from .model import CLS_ID, predicted_label
 from .tagger import NonParsingOutput, UnknownTagError, detag
 
 
@@ -189,17 +192,31 @@ class Inference:
     failure: str | None = None  # why detag failed
 
 
-def infer(model, text: str, tags: dict) -> Inference:
-    """Detect, then generate and detag: the one inference path that `eval`
-    and `synthesize` share. `text` must fit the model's max_len."""
-    h = model.encode_text(text)
-    if not predicted_label(model.detect(h)):
-        return Inference(False)
-    tokens = model.generate(h, tags).tokens
-    try:
-        return Inference(True, tokens, rule=detag(tokens, tags))
-    except (NonParsingOutput, UnknownTagError) as exc:
-        return Inference(True, tokens, failure=str(exc))
+def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
+    """Detect, then generate and detag, for each (text, tags) item: the one
+    inference path that `eval` and `synthesize` share. Texts of one token
+    length are encoded together and flagged rows decoded together (see
+    `Model.encode_groups` and `Model.generate_batch`). Every text must fit
+    the model's max_len."""
+    sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
+    flagged, pooled = [], []
+    for rows, h_c in model.encode_groups(sequences):
+        for row, h, probs in zip(rows, h_c, model.detect(h_c)):
+            if predicted_label(probs):
+                flagged.append(row)
+                pooled.append(h)
+    results = [Inference(False)] * len(items)
+    if not flagged:
+        return results
+    tag_maps = [items[row][1] for row in flagged]
+    for row, tags, generated in zip(
+        flagged, tag_maps, model.generate_batch(np.array(pooled), tag_maps)
+    ):
+        try:
+            results[row] = Inference(True, generated.tokens, rule=detag(generated.tokens, tags))
+        except (NonParsingOutput, UnknownTagError) as exc:
+            results[row] = Inference(True, generated.tokens, failure=str(exc))
+    return results
 
 
 def gold_spec(sample) -> Specification | None:
@@ -210,9 +227,10 @@ def gold_spec(sample) -> Specification | None:
 
 
 def collect_outcomes(model, samples) -> list[SampleOutcome]:
+    samples = list(samples)
+    results = infer_batch(model, [(sample.text, sample.tags) for sample in samples])
     outcomes = []
-    for i, sample in enumerate(samples):
-        result = infer(model, sample.text, sample.tags)
+    for i, (sample, result) in enumerate(zip(samples, results)):
         got = result.rule
         if result.failure is not None:
             # flagged but not reconstructable; kept as a raw mismatch

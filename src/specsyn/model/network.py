@@ -7,6 +7,8 @@ category decoder, and an LSTM that generates the tagged specification
 token sequence. Since only the [CLS] row leaves the last block, that block
 computes its query, attention output and FFN for the [CLS] row alone, in
 the forward and the backward pass; its keys and values cover every position.
+Inference encodes texts of one token length together, so no row is padded,
+and decodes flagged rows in small batches (`encode_groups`, `generate_batch`).
 
 Every parameter lives in a flat name -> float64 array mapping and every
 gradient is derived by hand, so the complete network can be checked
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dsl import Category
-from ..tagger import TAG_SLOTS, TagClass
 from .vocab import (
     BOS_ID,
     CLS_ID,
     EOS_ID,
+    TAG_TOKEN_IDS,
     ModelError,
     PAD_ID,
     UNK_ID,
@@ -51,6 +53,14 @@ CATEGORY_HIDDEN = 50
 GENERATOR_HIDDEN = 20
 # greedy decoding stops after this many tokens without [EOS]
 GENERATE_MAX_TOKENS = 24
+# Inference batches: an encoder call holds rows of one length and at most
+# this many tokens in all (one row at least); the forward pass keeps about
+# 15 KB of transients per token. Greedy decoding runs this many rows at once.
+ENCODE_TOKEN_BUDGET = 64
+DECODE_ROWS = 16
+# never generated: the control tokens other than [EOS], and every tag token
+# until a row's tag map allows it
+_BANNED_IDS = [PAD_ID, UNK_ID, CLS_ID, BOS_ID, *TAG_TOKEN_IDS.values()]
 
 
 @dataclass(frozen=True)
@@ -540,31 +550,60 @@ class Model:
     def classify_category(self, h_c) -> np.ndarray:
         return self._head_probs("category", h_c)
 
-    def generate(self, h_c, tags) -> GenerationResult:
-        """Greedy decode constrained to tag tokens present in the tag map."""
-        p = self.params
-        allowed = np.ones(len(self.vocab), dtype=bool)
-        allowed[[PAD_ID, UNK_ID, CLS_ID, BOS_ID]] = False
-        for cls in TagClass:
-            for i in range(1, TAG_SLOTS + 1):
-                if f"{cls.value}{i}" not in tags:
-                    allowed[self.vocab.id_of(f"<{cls.value}{i}>")] = False
+    def encode_groups(self, sequences):
+        """Pooled vectors of id sequences that start with [CLS], grouped by
+        length so that no row is padded. Yields (indices into `sequences`,
+        h_c of shape (len(indices), d)) per encoder call, each call at most
+        ENCODE_TOKEN_BUDGET tokens, or one row longer than that."""
+        by_length: dict[int, list[int]] = {}
+        for i, ids in enumerate(sequences):
+            by_length.setdefault(len(ids), []).append(i)
+        for length, members in sorted(by_length.items()):
+            step = max(1, ENCODE_TOKEN_BUDGET // length)
+            for start in range(0, len(members), step):
+                rows = members[start:start + step]
+                ids = np.array([sequences[i] for i in rows], dtype=np.int64)
+                yield rows, self._encode_batch(ids, np.ones(ids.shape, dtype=bool))[0]
 
-        h, c = self._lstm_start(np.asarray(h_c)[None, :])
-        prev = BOS_ID
-        tokens: list[str] = []
-        truncated = True
+    def generate(self, h_c, tags) -> GenerationResult:
+        """Greedy decode of one pooled vector; see `generate_batch`."""
+        return self.generate_batch(np.asarray(h_c)[None, :], [tags])[0]
+
+    def generate_batch(self, h_c, tag_maps) -> list[GenerationResult]:
+        """Greedy decode of each row of h_c (B, d), DECODE_ROWS rows at a
+        time. A row may emit only the tag tokens present in its own tag map,
+        and stops at [EOS] or after GENERATE_MAX_TOKENS tokens."""
+        results = []
+        for start in range(0, len(tag_maps), DECODE_ROWS):
+            rows = slice(start, start + DECODE_ROWS)
+            results += self._decode(h_c[rows], tag_maps[rows])
+        return results
+
+    def _decode(self, h_c, tag_maps) -> list[GenerationResult]:
+        p = self.params
+        allowed = np.ones((len(tag_maps), len(self.vocab)), dtype=bool)
+        allowed[:, _BANNED_IDS] = False
+        for row, tags in enumerate(tag_maps):
+            allowed[row, [TAG_TOKEN_IDS[t] for t in tags if t in TAG_TOKEN_IDS]] = True
+
+        h, c = self._lstm_start(h_c)
+        prev = np.full(len(tag_maps), BOS_ID)
+        live = np.arange(len(tag_maps))  # rows still decoding, in h and c order
+        tokens: list[list[str]] = [[] for _ in tag_maps]
         for _ in range(GENERATE_MAX_TOKENS):
-            x = p["embed/tokens"][prev][None, :]
-            h, c, _ = self._lstm_step(x, h, c)
-            logits = (h @ p["generator/out_w"] + p["generator/out_b"])[0]
-            logits[~allowed] = -np.inf
-            prev = int(np.argmax(logits))
-            if prev == EOS_ID:
-                truncated = False
+            h, c, _ = self._lstm_step(p["embed/tokens"][prev], h, c)
+            logits = h @ p["generator/out_w"] + p["generator/out_b"]
+            logits[~allowed[live]] = -np.inf
+            prev = logits.argmax(axis=1)
+            going = prev != EOS_ID
+            for row, token_id in zip(live[going], prev[going]):
+                tokens[row].append(self.vocab.token_of(token_id))
+            if not going.all():
+                live, prev, h, c = live[going], prev[going], h[going], c[going]
+            if not live.size:
                 break
-            tokens.append(self.vocab.token_of(prev))
-        return GenerationResult(tokens=tuple(tokens), truncated=truncated)
+        truncated = set(live.tolist())  # rows that never reached [EOS]
+        return [GenerationResult(tuple(t), row in truncated) for row, t in enumerate(tokens)]
 
 
 def predicted_label(det_probs) -> bool:

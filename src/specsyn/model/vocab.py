@@ -26,6 +26,12 @@ def reserved_tokens() -> tuple[str, ...]:
     return (PAD, UNK, CLS, BOS, EOS) + tags
 
 
+# tag id ("keyword1") -> the fixed id of its reserved token ("<keyword1>")
+TAG_TOKEN_IDS = {
+    token[1:-1]: i for i, token in enumerate(reserved_tokens()) if i > EOS_ID
+}
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace tokenization that keeps tag tokens as atoms.
 

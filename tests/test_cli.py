@@ -172,6 +172,12 @@ class TestTrain:
         assert proc.returncode == 2, proc.stderr
 
 
+def flagging(flag: bool):
+    """A stand-in for `Model.detect` that flags every row of a batch, or none."""
+    probs = [0.0, 1.0] if flag else [1.0, 0.0]
+    return lambda self, h_c: np.tile(probs, (len(h_c), 1))
+
+
 class TestSynthesize:
     def test_report_counts_and_parsable_output(self, workspace, tmp_path):
         proc = run_cli(
@@ -217,12 +223,12 @@ class TestSynthesize:
         (tmp_path / "kw.txt").write_text("user_port\nmax_rows\n", encoding="utf-8")
         seen = []
 
-        def generate(self, h_c, tags):
-            seen.append(dict(tags))
-            return GenerationResult(("use", "(", "<keyword1>", ")"), False)
+        def generate_batch(self, h_c, tag_maps):
+            seen.extend(dict(tags) for tags in tag_maps)
+            return [GenerationResult(("use", "(", "<keyword1>", ")"), False)] * len(tag_maps)
 
-        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([0.0, 1.0]))
-        monkeypatch.setattr(Model, "generate", generate)
+        monkeypatch.setattr(Model, "detect", flagging(True))
+        monkeypatch.setattr(Model, "generate_batch", generate_batch)
         status = cli.main([
             "synthesize", "--model", str(tmp_path / "m.spsy"),
             "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
@@ -242,7 +248,7 @@ class TestSynthesize:
             encoding="utf-8",
         )
         (tmp_path / "kw.txt").write_text("max_rows\n", encoding="utf-8")
-        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([1.0, 0.0]))
+        monkeypatch.setattr(Model, "detect", flagging(False))
         status = cli.main([
             "synthesize", "--model", str(tmp_path / "m.spsy"),
             "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
@@ -267,10 +273,11 @@ class TestSynthesize:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(dsl, name, counted)
-        monkeypatch.setattr(Model, "detect", lambda self, h_c: np.array([0.0, 1.0]))
+        monkeypatch.setattr(Model, "detect", flagging(True))
         monkeypatch.setattr(
-            Model, "generate",
-            lambda self, h_c, tags: GenerationResult(("use", "(", "<keyword1>", ")"), False),
+            Model, "generate_batch",
+            lambda self, h_c, tag_maps:
+                [GenerationResult(("use", "(", "<keyword1>", ")"), False)] * len(tag_maps),
         )
         status = cli.main([
             "synthesize", "--model", str(tmp_path / "m.spsy"),

@@ -1,10 +1,12 @@
 import json
 import math
+import random
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import infer_oracle
 from specsyn import dsl
 from specsyn import eval as eval_module
 from specsyn.corpus import ExtractionType
@@ -13,6 +15,7 @@ from specsyn.eval import (
     ConfusionCounts,
     EvalError,
     EvaluationReport,
+    Inference,
     LengthMismatch,
     Metrics,
     SampleOutcome,
@@ -25,6 +28,9 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
+from specsyn.model import EOS_ID, PAD_ID, Model, SequenceTooLong
+from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
+from specsyn.tagger import TagClass
 
 
 class TestScoreDetection:
@@ -363,7 +369,7 @@ class TestModelEvaluation:
         assert parsed_in_report == [0]
 
     def test_overlong_labeled_sample_is_rejected(self):
-        from specsyn.model import Model, ModelConfig, SequenceTooLong, Vocab, reserved_tokens
+        from specsyn.model import ModelConfig, Vocab, reserved_tokens
         from specsyn.synthdata import LabeledSample
 
         config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=4)
@@ -376,8 +382,18 @@ class TestModelEvaluation:
             category=Category.QUANTITATIVE,
             type=ExtractionType.SIMPLE,
         )
+        short = LabeledSample(
+            text="<keyword1> on",
+            tags={"keyword1": "a"},
+            label=False,
+            target=(),
+            category=None,
+            type=ExtractionType.SIMPLE,
+        )
         with pytest.raises(SequenceTooLong):
             evaluate(model, [sample])
+        with pytest.raises(SequenceTooLong):  # from inside a batch of fitting texts
+            evaluate(model, [short, sample, short])
 
     def test_gold_spec_for_negative_is_none(self):
         from specsyn.synthdata import LabeledSample
@@ -391,3 +407,120 @@ class TestModelEvaluation:
             type=ExtractionType.SIMPLE,
         )
         assert gold_spec(sample) is None
+
+
+# words of the `trained` fixture's vocabulary, and one it has never seen
+WORDS = ("set", "to", "more", "than", "units", ".", "see", "page", "for", "details", "of", "zzz")
+SURFACES = {"keyword": "opt{}", "num": "{}", "bool": "on", "unit": "mb", "format": "url"}
+
+
+def random_items(rng, n, max_words=12):
+    """(tagged text, tags) pairs: words and tag tokens of every class, with
+    slots 1-3 and 9 (past the reserved 8), and tag maps that miss about a
+    fifth of the tags their text holds."""
+    items = []
+    for _ in range(n):
+        tokens, tags = [], {}
+        for _ in range(rng.randint(0, max_words)):
+            if rng.random() < 0.6:
+                tokens.append(rng.choice(WORDS))
+                continue
+            tag_id = f"{rng.choice(list(TagClass)).value}{rng.choice((1, 1, 2, 3, 9))}"
+            tokens.append(f"<{tag_id}>")
+            if rng.random() < 0.8:
+                cls = tag_id.rstrip("0123456789")
+                tags[tag_id] = SURFACES[cls].format(rng.randint(0, 99))
+        items.append((" ".join(tokens), tags))
+    return items
+
+
+def encoder_calls(monkeypatch):
+    """Record the (ids, mask) of every `Model._encode_batch` call."""
+    calls = []
+    real = Model._encode_batch
+
+    def encode_batch(self, ids, mask):
+        calls.append((ids, mask))
+        return real(self, ids, mask)
+
+    monkeypatch.setattr(Model, "_encode_batch", encode_batch)
+    return calls
+
+
+def copy_model(model):
+    return Model(model.config, model.vocab, {k: v.copy() for k, v in model.params.items()})
+
+
+class TestInferBatch:
+    """`infer_batch` against the one-row loop it replaced (tests/infer_oracle.py)."""
+
+    def assert_matches_oracle(self, model, items):
+        got = eval_module.infer_batch(model, items)
+        want = [infer_oracle.infer(model, text, tags) for text, tags in items]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert (g.flagged, g.tokens, g.rule, g.failure) == (
+                w.flagged, w.tokens, w.rule, w.failure), (i, items[i])
+        return got
+
+    def test_random_tagged_texts(self, trained):
+        model, samples = trained
+        items = [(s.text, s.tags) for s in samples] + random_items(random.Random(7), 300)
+        got = self.assert_matches_oracle(model, items)
+        assert any(r.rule is not None for r in got)
+        assert any(r.failure is not None for r in got)
+        assert sum(r.flagged for r in got) > DECODE_ROWS
+        assert not all(r.flagged for r in got)
+
+    def test_length_group_larger_than_the_token_budget(self, trained, monkeypatch):
+        model, samples = trained
+        # 48 texts of 8 tokens after [CLS]: 9 x 48 tokens in one length group
+        items = [(s.text, s.tags) for s in samples] * 4
+        assert {len(model.vocab.encode(text)) for text, _ in items} == {8}
+        calls = encoder_calls(monkeypatch)
+        eval_module.infer_batch(model, items)
+        assert sum(ids.shape[0] for ids, _ in calls) == len(items)
+        assert len(calls) == -(-len(items) // (ENCODE_TOKEN_BUDGET // 9)) > 1
+        self.assert_matches_oracle(model, items)
+
+    def test_every_encoder_call_is_one_length_within_the_budget(self, trained, monkeypatch):
+        model, _ = trained
+        items = random_items(random.Random(3), 200, max_words=model.config.max_len - 1)
+        calls = encoder_calls(monkeypatch)
+        eval_module.infer_batch(model, items)
+        assert sum(ids.shape[0] for ids, _ in calls) == len(items)
+        assert len(calls) < len(items)
+        for ids, mask in calls:
+            assert mask.all() and (ids != PAD_ID).all()  # no padding
+            assert ids.size <= ENCODE_TOKEN_BUDGET
+
+    def test_all_negative_and_empty(self, trained, monkeypatch):
+        model = copy_model(trained[0])
+        model.params["detect/b3"][:] = (50.0, -50.0)
+        monkeypatch.setattr(Model, "generate_batch", None)  # must not be called
+        items = random_items(random.Random(5), 40)
+        assert eval_module.infer_batch(model, items) == [Inference(False)] * len(items)
+        assert eval_module.infer_batch(model, []) == []
+
+    def test_rows_stop_at_eos_or_at_the_token_limit(self, trained):
+        model = copy_model(trained[0])
+        p, vocab = model.params, model.vocab
+        p["detect/b3"][:] = (-50.0, 50.0)
+        p["generator/out_w"][:] = 0.0
+        p["generator/out_b"][:] = 0.0
+        # <num1> wherever the tag map allows it, [EOS] elsewhere
+        p["generator/out_b"][vocab.id_of("<num1>")] = 50.0
+        p["generator/out_b"][EOS_ID] = 49.0
+        items = random_items(random.Random(9), 60)
+        got = self.assert_matches_oracle(model, items)
+        limited = [r for (_, tags), r in zip(items, got) if "num1" in tags]
+        assert limited and all(len(r.tokens) == GENERATE_MAX_TOKENS for r in limited)
+        assert any(r.tokens == () for r in got)
+
+    def test_rows_of_one_decode_batch_stop_at_different_steps(self, trained):
+        # untrained: each row's tokens, and where it stops, hang on its LSTM state
+        model = Model.initialize(trained[0].config, trained[0].vocab, rng_seed=0)
+        model.params["detect/b3"][:] = (-50.0, 50.0)
+        got = self.assert_matches_oracle(model, random_items(random.Random(11), 80))
+        lengths = {len(r.tokens) for r in got}
+        assert len(lengths) > 10 and GENERATE_MAX_TOKENS in lengths
