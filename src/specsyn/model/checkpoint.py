@@ -4,13 +4,15 @@ Layout, all integers little-endian u32:
     magic "SPSY" | version | vocab count | (token byte length, utf-8 bytes)*
     tensor count | (name length, name, ndim, dims*, row-major float64 data)*
 
-Tensors are written in sorted name order so identical models serialize to
-identical bytes. The attention head count travels as the extra tensor
+Tensors are stored as float64 whatever dtype they were trained in, and
+written in sorted name order so identical models serialize to identical
+bytes. The attention head count travels as the extra tensor
 "meta/num_heads", which must hold a whole number; every other
 configuration value is recovered from shapes, and every tensor's name and
 shape must match the parameters of that configuration.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -27,8 +29,11 @@ class CheckpointError(ModelError):
     """Unreadable or incompatible checkpoint file."""
 
 
+_U32 = struct.Struct("<I")
+
+
 def _u32(value: int) -> bytes:
-    return struct.pack("<I", value)
+    return _U32.pack(value)
 
 
 def _str(text: str) -> bytes:
@@ -49,24 +54,48 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 class _Reader:
-    def __init__(self, stream):
-        self._stream = stream
+    """Parses a checkpoint held in memory, front to back, by offset."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+
+    def _advance(self, n: int) -> int:
+        """Offset of the next n bytes, which must all be present."""
+        start = self._pos
+        if start + n > len(self._data):
+            raise CheckpointError("truncated checkpoint")
+        self._pos = start + n
+        return start
 
     def bytes(self, n: int) -> bytes:
-        data = self._stream.read(n)
-        if len(data) != n:
-            raise CheckpointError("truncated checkpoint")
-        return data
+        start = self._advance(n)
+        return self._data[start:self._pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.bytes(4))[0]
+        return _U32.unpack_from(self._data, self._advance(4))[0]
 
-    def str(self) -> str:
-        data = self.bytes(self.u32())
+    def strings(self, count: int) -> list[str]:
+        """`count` length-prefixed UTF-8 strings, in one loop over offsets."""
+        data, pos, out = self._data, self._pos, []
+        end = len(data)
         try:
-            return data.decode("utf-8")
+            for _ in range(count):
+                n = _U32.unpack_from(data, pos)[0]
+                pos += 4 + n
+                if pos > end:
+                    raise CheckpointError("truncated checkpoint")
+                out.append(data[pos - n:pos].decode("utf-8"))
+        except struct.error as exc:
+            raise CheckpointError("truncated checkpoint") from exc
         except UnicodeDecodeError as exc:
             raise CheckpointError("corrupt string in checkpoint") from exc
+        self._pos = pos
+        return out
+
+    def floats(self, count: int) -> np.ndarray:
+        """A read-only view of the next `count` little-endian float64s."""
+        return np.frombuffer(self._data, "<f8", count, self._advance(8 * count))
 
 
 def _meta_int(tensors: dict[str, np.ndarray], name: str) -> int:
@@ -78,20 +107,18 @@ def _meta_int(tensors: dict[str, np.ndarray], name: str) -> int:
 
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as stream:
-        reader = _Reader(stream)
-        if reader.bytes(4) != MAGIC:
-            raise CheckpointError("not a specsyn checkpoint (bad magic)")
-        version = reader.u32()
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        vocab = Vocab(reader.str() for _ in range(reader.u32()))
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(reader.u32()):
-            name = reader.str()
-            shape = tuple(reader.u32() for _ in range(reader.u32()))
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            data = np.frombuffer(reader.bytes(count * 8), dtype="<f8")
-            tensors[name] = data.reshape(shape).copy()
+        reader = _Reader(stream.read())
+    if reader.bytes(4) != MAGIC:
+        raise CheckpointError("not a specsyn checkpoint (bad magic)")
+    version = reader.u32()
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    vocab = Vocab(reader.strings(reader.u32()))
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(reader.u32()):
+        [name] = reader.strings(1)
+        shape = tuple(reader.u32() for _ in range(reader.u32()))
+        tensors[name] = reader.floats(math.prod(shape)).reshape(shape).copy()
 
     try:
         config = ModelConfig(

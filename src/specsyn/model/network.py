@@ -10,9 +10,11 @@ the forward and the backward pass; its keys and values cover every position.
 Inference encodes texts of one token length together, so no row is padded,
 and decodes flagged rows in small batches (`encode_groups`, `generate_batch`).
 
-Every parameter lives in a flat name -> float64 array mapping and every
-gradient is derived by hand, so the complete network can be checked
-against central finite differences.
+Every parameter lives in a flat name -> array mapping and every gradient
+is derived by hand, so the complete network can be checked against central
+finite differences. The network computes in the dtype of its parameters:
+training runs in float32, while gradient checks, checkpoints and inference
+use float64.
 """
 
 import math
@@ -280,7 +282,7 @@ class Model:
                 f"sequence length {length} exceeds max_len {cfg.max_len}"
             )
         emb = p["embed/tokens"][ids] + p["embed/positions"][:length]
-        key_bias = np.where(mask[:, None, None, :], 0.0, -np.inf)
+        key_bias = np.where(mask[:, None, None, :], 0.0, -np.inf).astype(emb.dtype, copy=False)
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.heads)
 
         h = emb
@@ -405,7 +407,7 @@ class Model:
         n_tok = int(gen_mask.sum())
         h, c = self._lstm_start(h_c)
         h0 = h
-        ones = np.ones(h_c.shape[0])
+        ones = np.ones(h_c.shape[0], dtype=h_c.dtype)
         steps = []
         loss = 0.0
         for t in range(gen_in.shape[1]):
@@ -425,7 +427,7 @@ class Model:
         p = self.params
         h_c, h0, steps, n_tok = cache
         factor = 1.0 / n_tok if n_tok else 0.0
-        dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN))
+        dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN), dtype=h_c.dtype)
         dc_next = np.zeros_like(dh_next)
         d_embed = grads.setdefault("embed/tokens", np.zeros_like(p["embed/tokens"]))
         for t in reversed(range(gen_in.shape[1])):
@@ -460,8 +462,8 @@ class Model:
 
     def _run(self, batch: Batch, weights, want_grads: bool):
         b = batch.size
-        weights = np.asarray(weights, dtype=np.float64)
         h_c, enc_cache = self._encode_batch(batch.ids, batch.mask)
+        weights = np.asarray(weights, dtype=h_c.dtype)
 
         det_logits, det_cache = self._mlp_forward("detect", h_c)
         det_rows, det_grad = _cross_entropy(
@@ -473,7 +475,7 @@ class Model:
         if cat_rows.size:
             cat_logits, cat_cache = self._mlp_forward("category", h_c[cat_rows])
             cat_row_loss, cat_grad = _cross_entropy(
-                cat_logits, batch.cat_ids[cat_rows], np.ones(cat_rows.size)
+                cat_logits, batch.cat_ids[cat_rows], np.ones(cat_rows.size, dtype=h_c.dtype)
             )
             cat_loss = float(cat_row_loss.mean())
         else:

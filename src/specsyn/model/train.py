@@ -1,4 +1,9 @@
-"""Training loop: batching, the optimizer, and per-epoch loss logging."""
+"""Training loop: batching, the optimizer, and per-epoch loss logging.
+
+Training computes in float32: the parameters, Adam's moments and every
+forward and backward tensor. The trained parameters are widened back to
+float64, exactly, so the returned model is the one its checkpoint holds.
+"""
 
 import math
 from dataclasses import dataclass
@@ -130,6 +135,7 @@ def train(
     model = Model.initialize(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
     )
+    model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
     optimizer = Adam(model.params, config.lr)
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
@@ -154,4 +160,5 @@ def train(
             for key in sums:
                 sums[key] += losses[key] * len(chosen)
         loss_log.append(EpochLoss(**{k: v / n for k, v in sums.items()}))
+    model.params = {k: v.astype(np.float64) for k, v in model.params.items()}
     return TrainResult(model=model, loss_log=loss_log)

@@ -399,8 +399,9 @@ class TestTraining:
         fresh = Model.initialize(
             SMALL, build_vocab(samples), np.random.SeedSequence([5, 0])
         )
+        # training starts from the float32 rounding of the same draws
         for name, tensor in fresh.params.items():
-            assert np.array_equal(result.model.params[name], tensor)
+            assert np.array_equal(result.model.params[name], tensor.astype(np.float32))
 
     def test_toy_corpus_reaches_full_training_accuracy(self):
         samples = toy_samples()
@@ -427,6 +428,21 @@ class TestTraining:
             save_checkpoint(result.model, out)
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_returned_model_is_the_one_its_checkpoint_holds(self, tmp_path):
+        """Training runs in float32 and returns float64 parameters that a
+        checkpoint round trip keeps bit for bit, so in-process and
+        file-based inference agree."""
+        result = train(toy_samples(), TrainConfig(epochs=3, rng_seed=9), SMALL)
+        path = tmp_path / "m.spsy"
+        save_checkpoint(result.model, path)
+        loaded = load_checkpoint(path)
+        for name, tensor in result.model.params.items():
+            assert tensor.dtype == np.float64, name
+            assert np.array_equal(tensor.astype(np.float32), tensor), name
+            assert np.array_equal(loaded.params[name], tensor), name
+        text = toy_samples()[0].text
+        assert np.array_equal(loaded.encode_text(text), result.model.encode_text(text))
 
     def test_nan_loss_raises_divergence(self, monkeypatch):
         from specsyn.model import DivergenceError
@@ -490,6 +506,29 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_every_cut_is_truncation(self, model, tmp_path):
+        """Every strict prefix fails as truncated: all cuts through the
+        header, the vocabulary and the first tensors, then seeded ones."""
+        path = tmp_path / "m.spsy"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(5)
+        cuts = [*range(2000), *rng.integers(2000, len(blob), size=50)]
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated checkpoint"):
+                load_checkpoint(path)
+
+    def test_corrupt_string_rejected(self, model, vocab, tmp_path):
+        path = tmp_path / "m.spsy"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        for token in (vocab.tokens[-1], "block0/attn/wq"):
+            at = blob.index(token.encode("utf-8"))
+            path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+            with pytest.raises(CheckpointError, match="corrupt string in checkpoint"):
+                load_checkpoint(path)
 
     def test_other_head_width_rejected(self, vocab, tmp_path):
         m = Model.initialize(SMALL, vocab, rng_seed=4)
