@@ -1,9 +1,12 @@
 """Command-line pipeline: ingest, compose, train, synthesize, eval, check.
 
-Conventions shared by every subcommand: logs go to standard error and data
-to files, each run writes an effective-config JSON next to its primary
-output, and expected failures (bad paths, malformed inputs) exit with
-status 2 and a one-line diagnostic instead of a stack trace.
+Each subcommand reads its input files, calls the library and writes its
+outputs; how a text becomes model input and a rule lives in `specsyn.eval`
+(`synthesize` and `evaluate`), not here. Conventions shared by every
+subcommand: logs go to standard error and data to files, each run writes
+an effective-config JSON next to its primary output, and expected
+failures (bad paths, malformed inputs) exit with status 2 and a one-line
+diagnostic instead of a stack trace.
 """
 
 from __future__ import annotations
@@ -30,16 +33,16 @@ from .corpus import (
     load_keyword_file,
     save_candidates,
 )
-from .dsl import DslError, Specification, load_spec_file, save_spec_file
-from .eval import EvalError, evaluate, infer_batch, render_report
+from .dsl import DslError, load_spec_file, save_spec_file
+from .eval import EvalError, evaluate, render_report, synthesize
 from .files import InputError, read_text, write_json, write_output
 from .model import (
     ModelConfig,
     ModelError,
+    SequenceTooLong,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
-    tokenize,
     train,
 )
 from .synthdata import (
@@ -52,7 +55,7 @@ from .synthdata import (
     load_seed_library,
     save_dataset,
 )
-from .tagger import TAG_ID_RE, TAG_SLOTS, TagError, load_lexicons, tag_text
+from .tagger import TagError, load_lexicons
 
 log = logging.getLogger("specsyn")
 
@@ -144,7 +147,10 @@ def _cmd_train(args) -> int:
         lr=args.lr,
         rng_seed=args.seed,
     )
-    result = train(samples, config, model_config)
+    try:
+        result = train(samples, config, model_config)
+    except SequenceTooLong as exc:
+        raise InputError(args.data, None, exc) from exc
     save_checkpoint(result.model, args.out)
     if args.log:
         rows = io.StringIO(newline="")
@@ -162,46 +168,17 @@ def _cmd_train(args) -> int:
 def _cmd_synthesize(args) -> int:
     model = load_checkpoint(args.model)
     keywords, _, candidates = _read_candidates(args)
-    lexicons = load_lexicons()
+    results = synthesize(model, candidates, keywords, load_lexicons())
 
-    budget = model.config.max_len - 1  # one slot reserved for CLS
-    items = []
-    for candidate in candidates:
-        tagged = tag_text(candidate.text, keywords, lexicons)
-        tokens = tokenize(tagged.text)
-        tags = tagged.tags
-        if len(tokens) > budget:
-            log.warning(
-                "truncating %d-token candidate from %s to %d tokens",
-                len(tokens), candidate.source, budget,
+    detections = sum(result.flagged for result in results)
+    specs = [result.rule for result in results if result.rule is not None]
+    failures = []
+    for candidate, result in zip(candidates, results):
+        if result.failure is not None:
+            failures.append(
+                {"source": candidate.source, "text": candidate.text, "reason": result.failure}
             )
-            tokens = tokens[:budget]
-            # the decoder may only emit tags whose literal it was shown
-            tags = {tag_id: surface for tag_id, surface in tags.items()
-                    if f"<{tag_id}>" in tokens}
-        lost = [surface for tag_id, surface in tags.items()
-                if int(TAG_ID_RE.fullmatch(tag_id).group(2)) > TAG_SLOTS]
-        if lost:
-            log.warning(
-                "candidate from %s has literals past tag slot %d, seen as [UNK]: %s",
-                candidate.source, TAG_SLOTS, ", ".join(map(repr, lost)),
-            )
-        items.append((" ".join(tokens), tags))
-
-    specs: list[Specification] = []
-    failures: list[dict] = []
-    detections = 0
-    for candidate, result in zip(candidates, infer_batch(model, items)):
-        if not result.flagged:
-            continue
-        detections += 1
-        if result.rule is not None:
-            specs.append(result.rule)
-            continue
-        failures.append(
-            {"source": candidate.source, "text": candidate.text, "reason": result.failure}
-        )
-        log.warning("dropping non-parsing output for %s: %s", candidate.source, result.failure)
+            log.warning("dropping non-parsing output for %s: %s", candidate.source, result.failure)
 
     save_spec_file(args.out, specs)
     if args.report:
@@ -223,7 +200,10 @@ def _cmd_synthesize(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     samples = load_dataset(args.data)
-    report = evaluate(model, samples)
+    try:
+        report = evaluate(model, samples)
+    except SequenceTooLong as exc:
+        raise InputError(args.data, None, exc) from exc
     write_json(args.report, report.to_dict())
     _write_effective_config("eval", args, args.report)
     print(render_report(report), file=sys.stderr)

@@ -6,20 +6,24 @@ detection: only gold-positive samples the detector flagged count toward
 the denominator, and a match means the emitted `Specification` equals the
 gold one (formatting differences never penalize the generator).
 
-`infer_batch` is the detect-generate-detag path itself; `synthesize` calls
-it too.
+`infer_batch` is the detect-generate-detag path itself. `evaluate` feeds it
+labeled samples, which are already tagged; `synthesize` feeds it document
+candidates, after tagging them and fitting them to the model's input.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import ExtractionType
 from .dsl import Category, Specification, print_spec
-from .model import CLS_ID, predicted_label
-from .tagger import NonParsingOutput, UnknownTagError, detag
+from .model import CLS_ID, TAG_SLOTS, TAG_TOKEN_IDS, predicted_label, tokenize
+from .tagger import NonParsingOutput, UnknownTagError, detag, tag_text
+
+log = logging.getLogger(__name__)
 
 
 class EvalError(Exception):
@@ -194,7 +198,7 @@ class Inference:
 
 def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     """Detect, then generate and detag, for each (text, tags) item: the one
-    inference path that `eval` and `synthesize` share. Texts of one token
+    inference path that `evaluate` and `synthesize` share. Texts of one token
     length are encoded together and flagged rows decoded together (see
     `Model.encode_groups` and `Model.generate_batch`). Every text must fit
     the model's max_len."""
@@ -217,6 +221,39 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
         except (NonParsingOutput, UnknownTagError) as exc:
             results[row] = Inference(True, generated.tokens, failure=str(exc))
     return results
+
+
+def synthesize(model, candidates, keywords, lexicons) -> list[Inference]:
+    """Tag each document candidate, fit it to the model's input and run
+    `infer_batch`: one result per candidate, in order.
+
+    A candidate longer than max_len - 1 tokens (one position is [CLS]'s) is
+    cut, and the tags of the literals cut off are dropped. A literal past
+    the last reserved tag slot reaches the model as [UNK]. Both are logged.
+    """
+    budget = model.config.max_len - 1
+    items = []
+    for candidate in candidates:
+        tagged = tag_text(candidate.text, keywords, lexicons)
+        tokens = tokenize(tagged.text)
+        tags = tagged.tags
+        if len(tokens) > budget:
+            log.warning(
+                "truncating %d-token candidate from %s to %d tokens",
+                len(tokens), candidate.source, budget,
+            )
+            tokens = tokens[:budget]
+            # the decoder may only emit tags whose literal it was shown
+            tags = {tag_id: surface for tag_id, surface in tags.items()
+                    if f"<{tag_id}>" in tokens}
+        lost = [surface for tag_id, surface in tags.items() if tag_id not in TAG_TOKEN_IDS]
+        if lost:
+            log.warning(
+                "candidate from %s has literals past tag slot %d, seen as [UNK]: %s",
+                candidate.source, TAG_SLOTS, ", ".join(map(repr, lost)),
+            )
+        items.append((" ".join(tokens), tags))
+    return infer_batch(model, items)
 
 
 def gold_spec(sample) -> Specification | None:

@@ -23,6 +23,7 @@ from .vocab import (
     CLS_ID,
     EOS_ID,
     PAD_ID,
+    TAG_TOKEN_IDS,
     UNK_ID,
     Vocab,
     reserved_tokens,
@@ -46,6 +47,7 @@ __all__ = [
     "PAD_ID",
     "SequenceTooLong",
     "TAG_SLOTS",
+    "TAG_TOKEN_IDS",
     "TrainConfig",
     "TrainResult",
     "UNK_ID",

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .network import Batch, Model
+from .network import Batch, Model, ModelError
 
 
 def grad_check(
@@ -16,8 +16,14 @@ def grad_check(
 
     Perturbs every element of every parameter tensor (or of the named
     subset) by +/- epsilon; relative error per element is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Every
+    parameter must be float64: at float32 resolution the differences
+    measure rounding, not the gradient.
     """
+    for name in sorted(model.params):
+        dtype = model.params[name].dtype
+        if dtype != np.float64:
+            raise ModelError(f"grad_check needs float64 parameters; {name} is {dtype}")
     _, grads = model.loss_and_grads(batch, weights)
     worst = 0.0
     for name in names if names is not None else sorted(model.params):

@@ -476,6 +476,11 @@ def test_rerun_over_longer_outputs_is_byte_identical(tmp_path):
 NO_TAGS = b'{"text": "x", "label": 0, "target": [], "category": null, "type": "simple"}\n'
 NUMBER_TEXT = b'{"text": 5, "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
 SAMPLE = b'{"text": "x", "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
+LONG = b'{"text": "a b c d e", "tags": {}, "label": 0, "target": [], "category": null, "type": "simple"}\n'
+POSITIVE = (
+    b'{"text": "use <keyword1>", "tags": {"keyword1": "a"}, "label": 1,'
+    b' "target": ["use", "(", "<keyword1>", ")"], "category": "utilization", "type": "simple"}\n'
+)
 CHECK = ["check", "--specs", "rules.spec", "--config", "my.cnf"]
 INGEST = ["ingest", "--input", "doc.txt", "--keywords", "kw.txt", "--out", "c.jsonl"]
 COMPOSE = ["compose", "--n", 20, "--test-n", 0]
@@ -543,6 +548,10 @@ BAD_INPUTS = {
     "bad JSON on line 2": (
         {"data.jsonl": SAMPLE + b'{"text": \n'}, TRAIN, {}, "data.jsonl:2: not JSON",
     ),
+    "training text longer than max_len": (
+        {"data.jsonl": SAMPLE + LONG + POSITIVE}, [*TRAIN, "--max-len", 4], {},
+        "data.jsonl: training text of 6 tokens exceeds max_len 4",
+    ),
 }
 
 
@@ -554,7 +563,22 @@ def test_bad_input_is_one_line(tmp_path, monkeypatch, case):
         (tmp_path / name).write_bytes(data)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    proc = run_cli(*argv, cwd=tmp_path)
+    assert_one_line(run_cli(*argv, cwd=tmp_path), reason)
+
+
+def test_eval_record_longer_than_max_len_is_one_line(tmp_path):
+    model = Model.initialize(
+        ModelConfig(d_model=8, blocks=1, heads=2, max_len=4), Vocab(reserved_tokens())
+    )
+    save_checkpoint(model, tmp_path / "m.spsy")
+    (tmp_path / "data.jsonl").write_bytes(SAMPLE + LONG + POSITIVE)
+    proc = run_cli(
+        "eval", "--model", "m.spsy", "--data", "data.jsonl", "--report", "r.json", cwd=tmp_path
+    )
+    assert_one_line(proc, "data.jsonl: sequence length 6 exceeds max_len 4")
+
+
+def assert_one_line(proc, reason):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"specsyn: {reason}"), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr

@@ -1,15 +1,17 @@
 import json
 import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import infer_oracle
+import tag_oracle
 from specsyn import dsl
 from specsyn import eval as eval_module
-from specsyn.corpus import ExtractionType
+from specsyn.corpus import ExtractionType, KeywordSet, extract_candidates, ingest, load_keyword_file
 from specsyn.dsl import Category, DslError, parse_spec
 from specsyn.eval import (
     ConfusionCounts,
@@ -28,9 +30,11 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
-from specsyn.model import EOS_ID, PAD_ID, Model, SequenceTooLong
+from specsyn.model import EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, tokenize
 from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
-from specsyn.tagger import TagClass
+from specsyn.tagger import TagClass, load_lexicons
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestScoreDetection:
@@ -524,3 +528,111 @@ class TestInferBatch:
         got = self.assert_matches_oracle(model, random_items(random.Random(11), 80))
         lengths = {len(r.tokens) for r in got}
         assert len(lengths) > 10 and GENERATE_MAX_TOKENS in lengths
+
+
+KEYWORDS = KeywordSet("test", tuple(f"opt{i}" for i in range(6)))
+
+
+def random_document(rng, sentences=10):
+    """Sentences that the `trained` fixture flags, and sentences of its
+    words mixed with keywords, numbers and lexicon surfaces."""
+    out = []
+    for _ in range(sentences):
+        if rng.random() < 0.3:
+            out.append(f"Set opt{rng.randint(0, 5)} to more than {rng.randint(0, 99)} units.")
+            continue
+        words = [rng.choice(("The", "See", "Set"))]
+        for _ in range(rng.randint(0, 15)):
+            pick = rng.random()
+            if pick < 0.5:
+                words.append(rng.choice(WORDS))
+            elif pick < 0.7:
+                words.append(rng.choice(KEYWORDS.keywords))
+            elif pick < 0.9:
+                words.append(str(rng.randint(0, 99)))
+            else:
+                words.append(rng.choice(("on", "mb", "url")))
+        out.append(" ".join(words) + ".")
+    return " ".join(out)
+
+
+def random_candidates(seed, documents=6):
+    rng = random.Random(seed)
+    candidates = []
+    for d in range(documents):
+        sentences = ingest(random_document(rng))
+        candidates += extract_candidates(sentences, KEYWORDS, doc_id=f"doc{d}")
+    return candidates
+
+
+def with_max_len(model, max_len):
+    """The same model with its positional table cut to max_len."""
+    params = {**model.params, "embed/positions": model.params["embed/positions"][:max_len]}
+    return Model(replace(model.config, max_len=max_len), model.vocab, params)
+
+
+class TestSynthesize:
+    """`synthesize` against tagging (tests/tag_oracle.py), cutting to
+    max_len - 1 tokens and running (tests/infer_oracle.py) each candidate
+    alone, with only the tags of the literals it kept."""
+
+    def assert_matches_reference(self, model, candidates, keywords):
+        lexicons = load_lexicons()
+        got = eval_module.synthesize(model, candidates, keywords, lexicons)
+        want = []
+        for candidate in candidates:
+            tagged = tag_oracle.tag_text(candidate.text, keywords, lexicons)
+            kept = tokenize(tagged.text)[: model.config.max_len - 1]
+            tags = {tag_id: surface for tag_id, surface in tagged.tags.items()
+                    if f"<{tag_id}>" in kept}
+            want.append(infer_oracle.infer(model, " ".join(kept), tags))
+        assert len(got) == len(want) == len(candidates)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (i, candidates[i].text)
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_documents(self, trained, seed):
+        model, _ = trained
+        got = self.assert_matches_reference(model, random_candidates(seed), KEYWORDS)
+        assert any(r.rule is not None for r in got)
+        assert any(r.failure is not None for r in got)
+        assert not all(r.flagged for r in got)
+
+    def test_manual(self, trained):
+        keywords = load_keyword_file(FIXTURES / "keywords.txt")
+        candidates = extract_candidates(
+            ingest((FIXTURES / "manual.txt").read_text(encoding="utf-8")), keywords
+        )
+        assert candidates
+        for model in (trained[0], with_max_len(trained[0], 8)):
+            self.assert_matches_reference(model, candidates, keywords)
+
+    def test_small_max_len_cuts_candidates_and_their_tags(self, trained, caplog):
+        model = with_max_len(trained[0], 8)
+        candidates = random_candidates(4)
+        got = self.assert_matches_reference(model, candidates, KEYWORDS)
+        cut = [r for c, r in zip(candidates, got)
+               if len(tokenize(tag_oracle.tag_text(c.text, KEYWORDS).text)) > 7]  # max_len - 1
+        assert len(cut) > len(candidates) // 2
+        assert any(r.rule is not None for r in cut)
+        truncations = [r for r in caplog.records if "truncating" in r.getMessage()]
+        assert len(truncations) == len(cut)
+
+    def test_literals_past_the_last_tag_slot(self, trained, caplog):
+        model, _ = trained
+        # ten numbers: <num9> and <num10> have no reserved token
+        candidates = extract_candidates(
+            ingest("Set opt1 to 1, 2, 3, 4, 5, 6, 7, 8, 9 or 10. Keep opt2 below 8."),
+            KEYWORDS, doc_id="doc",
+        )
+        tagged = tag_oracle.tag_text(candidates[0].text, KEYWORDS)
+        assert [t for t in tagged.tags if t not in TAG_TOKEN_IDS] == ["num9", "num10"]
+        self.assert_matches_reference(model, candidates, KEYWORDS)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"candidate from {source} has literals past tag slot 8, seen as [UNK]: '9', '10'"
+            for source in ("doc:0", "doc:0-1")
+        ]
+
+    def test_no_candidates(self, trained):
+        assert eval_module.synthesize(trained[0], [], KEYWORDS, load_lexicons()) == []

@@ -570,6 +570,17 @@ class TestGradients:
         err = grad_check(model, batch, weights, names=["detect/w3", "detect/b3"])
         assert err < 1e-7
 
+    def test_float32_parameters_are_refused(self, model, batch, weights):
+        """Differences taken at float32 resolution measure rounding, not the
+        gradient, so a model with any float32 tensor is refused, even one
+        outside the named subset, since every tensor feeds the loss."""
+        params = {**model.params, "generator/wh": model.params["generator/wh"].astype(np.float32)}
+        with pytest.raises(ModelError, match="generator/wh is float32"):
+            grad_check(Model(SMALL, model.vocab, params), batch, weights, names=["detect/b3"])
+        single = {name: t.astype(np.float32) for name, t in model.params.items()}
+        with pytest.raises(ModelError, match=f"{min(single)} is float32"):
+            grad_check(Model(SMALL, model.vocab, single), batch, weights)
+
     def test_training_losses_are_weighted_ce(self, model, batch, weights):
         """Training minimises the per-row loss `weighted_ce` defines."""
         probs = []
