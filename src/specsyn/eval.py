@@ -20,7 +20,9 @@ import numpy as np
 
 from .corpus import ExtractionType
 from .dsl import Category, Specification, print_spec
-from .model import CLS_ID, TAG_SLOTS, TAG_TOKEN_IDS, predicted_label, tokenize
+from .model import (
+    CLS_ID, TAG_SLOTS, TAG_TOKEN_IDS, check_lengths, predicted_label, tokenize,
+)
 from .tagger import NonParsingOutput, UnknownTagError, detag, tag_text
 
 log = logging.getLogger(__name__)
@@ -201,8 +203,10 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     inference path that `evaluate` and `synthesize` share. Texts of one token
     length are encoded together and flagged rows decoded together (see
     `Model.encode_groups` and `Model.generate_batch`). Every text must fit
-    the model's max_len."""
+    the model's max_len with [CLS]; `check_lengths` names the first that
+    does not."""
     sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
+    check_lengths(map(len, sequences), model.config.max_len)
     flagged, pooled = [], []
     for rows, h_c in model.encode_groups(sequences):
         for row, h, probs in zip(rows, h_c, model.detect(h_c)):

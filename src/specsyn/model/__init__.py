@@ -12,6 +12,7 @@ from .network import (
     ModelConfig,
     ModelError,
     SequenceTooLong,
+    check_lengths,
     detection_weights,
     predicted_category,
     predicted_label,
@@ -53,6 +54,7 @@ __all__ = [
     "UNK_ID",
     "Vocab",
     "build_vocab",
+    "check_lengths",
     "detection_weights",
     "grad_check",
     "load_checkpoint",

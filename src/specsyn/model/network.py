@@ -102,6 +102,18 @@ class Batch:
         return self.ids.shape[0]
 
 
+def check_lengths(lengths, max_len: int) -> None:
+    """Raise SequenceTooLong for the first record, numbered from 1, whose
+    sequence, [CLS] included, is longer than max_len; the message gives the
+    record's own token count and the max_len - 1 tokens that fit."""
+    for number, length in enumerate(lengths, start=1):
+        if length > max_len:
+            raise SequenceTooLong(
+                f"record {number} has {length - 1} tokens; max_len {max_len} "
+                f"leaves room for {max_len - 1} after [CLS]"
+            )
+
+
 def weighted_ce(pred, label: int, weights) -> float:
     """-w_label * ln(p_label) with the log argument clamped at 1e-12: the
     scalar reference for the rows of `_cross_entropy`, which training uses."""
@@ -119,9 +131,10 @@ def detection_weights(labels) -> np.ndarray:
 
 
 def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(x, x.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _cross_entropy(logits, targets, weights):
@@ -146,37 +159,73 @@ def _sigmoid(x):
     return out
 
 
+# The elementwise kernels below allocate their outputs and at most one
+# scratch buffer the size of their input, and work in place on those. Each
+# computes 0.5 * x * (1 + t) and the like in the order the formula states,
+# swapping only the operands of a + or a *, so its results are bit for bit
+# those of the plain expression.
+
+
 def _gelu(x):
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
-    return 0.5 * x * (1.0 + t), t
+    """0.5 * x * (1 + t) with t = tanh(C * (x + 0.044715 * x^3)); returns both."""
+    s = np.multiply(x, x)
+    s *= 0.044715
+    s *= x
+    s += x
+    s *= _GELU_C
+    t = np.tanh(s)
+    np.add(t, 1.0, out=s)
+    y = np.multiply(x, 0.5)
+    y *= s
+    return y, t
 
 
 def _gelu_grad(x, t):
-    u = 1.0 - t * t
-    u *= _GELU_C * (0.5 * x + 0.0670725 * x * x * x)
-    u += 0.5 * (1.0 + t)
+    """(1 - t^2) * C * (0.5 * x + 0.0670725 * x^3) + 0.5 * (1 + t)."""
+    v = np.multiply(x, 0.5)
+    u = np.multiply(x, 0.0670725)
+    u *= x
+    u *= x
+    v += u
+    v *= _GELU_C
+    np.multiply(t, t, out=u)
+    np.subtract(1.0, u, out=u)
+    u *= v
+    np.add(t, 1.0, out=v)
+    v *= 0.5
+    u += v
     return u
 
 
 def _layer_norm(x, scale, shift):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv
-    return xhat * scale + shift, (xhat, inv)
+    """xhat * scale + shift with xhat = (x - mean) / sqrt(var + eps);
+    returns it and the cache (xhat, 1 / sqrt(var + eps))."""
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, scale, out=y)
+    y += shift
+    return y, (xhat, inv)
 
 
 def _layer_norm_grad(dy, cache, scale, grads, prefix):
+    """inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dy * scale; adds the scale and shift gradients to `grads`."""
     xhat, inv = cache
     axes = tuple(range(dy.ndim - 1))
-    _acc(grads, prefix + "/scale", (dy * xhat).sum(axis=axes))
+    tmp = np.multiply(dy, xhat)
+    _acc(grads, prefix + "/scale", tmp.sum(axis=axes))
     _acc(grads, prefix + "/shift", dy.sum(axis=axes))
-    dxhat = dy * scale
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv * (dxhat - mean1 - xhat * mean2)
+    dx = np.multiply(dy, scale)
+    mean1 = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    mean2 = tmp.mean(axis=-1, keepdims=True)
+    dx -= mean1
+    np.multiply(xhat, mean2, out=tmp)
+    dx -= tmp
+    dx *= inv
+    return dx
 
 
 def _acc(grads, name, value):
@@ -281,7 +330,8 @@ class Model:
             raise SequenceTooLong(
                 f"sequence length {length} exceeds max_len {cfg.max_len}"
             )
-        emb = p["embed/tokens"][ids] + p["embed/positions"][:length]
+        emb = p["embed/tokens"][ids]
+        emb += p["embed/positions"][:length]
         key_bias = np.where(mask[:, None, None, :], 0.0, -np.inf).astype(emb.dtype, copy=False)
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.heads)
 
@@ -297,14 +347,20 @@ class Model:
             qh = _split_heads(a[:, rows] @ p[f"{blk}/attn/wq"], cfg.heads)
             kh = _split_heads(a @ p[f"{blk}/attn/wk"], cfg.heads)
             vh = _split_heads(a @ p[f"{blk}/attn/wv"], cfg.heads)
-            scores = qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias
+            scores = qh @ kh.transpose(0, 1, 3, 2)
+            scores *= scale
+            scores += key_bias
             att = _softmax(scores)
             ctx = _merge_heads(att @ vh)
-            h1 = h[:, rows] + ctx @ p[f"{blk}/attn/wo"]
+            h1 = ctx @ p[f"{blk}/attn/wo"]
+            h1 += h[:, rows]
             f, ln2 = _layer_norm(h1, p[f"{blk}/ln2/scale"], p[f"{blk}/ln2/shift"])
-            u = f @ p[f"{blk}/ffn/w1"] + p[f"{blk}/ffn/b1"]
+            u = f @ p[f"{blk}/ffn/w1"]
+            u += p[f"{blk}/ffn/b1"]
             r, gelu_t = _gelu(u)
-            h = h1 + r @ p[f"{blk}/ffn/w2"] + p[f"{blk}/ffn/b2"]
+            h = r @ p[f"{blk}/ffn/w2"]
+            h += h1
+            h += p[f"{blk}/ffn/b2"]
             blocks.append((rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
 
         normed, final_ln = _layer_norm(h, p["final_ln/scale"], p["final_ln/shift"])
@@ -328,19 +384,25 @@ class Model:
 
             _acc(grads, f"{blk}/ffn/w2", _matgrad(r, dh))
             _acc(grads, f"{blk}/ffn/b2", dh.sum(axis=(0, 1)))
-            du = (dh @ p[f"{blk}/ffn/w2"].T) * _gelu_grad(u, gelu_t)
+            du = dh @ p[f"{blk}/ffn/w2"].T
+            du *= _gelu_grad(u, gelu_t)
             _acc(grads, f"{blk}/ffn/w1", _matgrad(f, du))
             _acc(grads, f"{blk}/ffn/b1", du.sum(axis=(0, 1)))
             df = du @ p[f"{blk}/ffn/w1"].T
-            dh1 = dh + _layer_norm_grad(df, ln2, p[f"{blk}/ln2/scale"], grads, f"{blk}/ln2")
+            dh1 = _layer_norm_grad(df, ln2, p[f"{blk}/ln2/scale"], grads, f"{blk}/ln2")
+            dh1 += dh
 
             _acc(grads, f"{blk}/attn/wo", _matgrad(ctx, dh1))
             dctx = _split_heads(dh1 @ p[f"{blk}/attn/wo"].T, cfg.heads)
-            datt = dctx @ vh.transpose(0, 1, 3, 2)
             dvh = att.transpose(0, 1, 3, 2) @ dctx
-            ds = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-            dqh = ds @ kh * scale
-            dkh = ds.transpose(0, 1, 3, 2) @ qh * scale
+            # the gradient of att, turned into that of the scores in place
+            ds = dctx @ vh.transpose(0, 1, 3, 2)
+            ds -= (ds * att).sum(axis=-1, keepdims=True)
+            ds *= att
+            dqh = ds @ kh
+            dqh *= scale
+            dkh = ds.transpose(0, 1, 3, 2) @ qh
+            dkh *= scale
             dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
             _acc(grads, f"{blk}/attn/wq", _matgrad(a[:, rows], dq))
             _acc(grads, f"{blk}/attn/wk", _matgrad(a, dk))

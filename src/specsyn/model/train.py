@@ -3,6 +3,13 @@
 Training computes in float32: the parameters, Adam's moments and every
 forward and backward tensor. The trained parameters are widened back to
 float64, exactly, so the returned model is the one its checkpoint holds.
+
+Each epoch sorts a fresh shuffle of the samples by exact token length and
+cuts it into batches (`epoch_batches`), so the encoder pads only the few
+batches that span two lengths. The network's elementwise kernels (GELU,
+LayerNorm, softmax and the encoder's adds) work in place, in the order
+their formulas state, so they allocate few temporaries and give the same
+bits as the plain expressions.
 """
 
 import math
@@ -18,7 +25,7 @@ from .network import (
     Model,
     ModelConfig,
     ModelError,
-    SequenceTooLong,
+    check_lengths,
     detection_weights,
 )
 from .vocab import BOS_ID, CLS_ID, EOS_ID, PAD_ID, Vocab
@@ -83,15 +90,25 @@ def build_vocab(samples) -> Vocab:
     return Vocab.build((s.text for s in samples), (s.target for s in samples))
 
 
-def _encode_sample(sample: LabeledSample, vocab: Vocab, max_len: int):
+def _encode_sample(sample: LabeledSample, vocab: Vocab):
     ids = [CLS_ID] + vocab.encode(sample.text)
-    if len(ids) > max_len:
-        raise SequenceTooLong(
-            f"training text of {len(ids)} tokens exceeds max_len {max_len}"
-        )
     target = [vocab.id_of(tok) for tok in sample.target]
     cat = CATEGORIES.index(sample.category) if sample.category is not None else -1
     return ids, int(sample.label), cat, [BOS_ID] + target, target + [EOS_ID]
+
+
+def epoch_batches(lengths, batch_size: int, rng) -> list[list[int]]:
+    """One epoch's batches of sample indices, in the order they train.
+
+    A random permutation of the samples is sorted, stably, by exact
+    sequence length and cut into batches of `batch_size`; the batches are
+    then shuffled. A batch therefore holds one length unless it spans the
+    boundary between two, so the encoder pads at most the (number of
+    distinct lengths - 1) batches that do, and only to the next length.
+    """
+    order = sorted(rng.permutation(len(lengths)).tolist(), key=lengths.__getitem__)
+    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    return [batches[b] for b in rng.permutation(len(batches))]
 
 
 def make_batch(rows) -> Batch:
@@ -130,7 +147,9 @@ def train(
         raise ModelError("training data is empty")
     weights = detection_weights([s.label for s in samples])
     vocab = build_vocab(samples)
-    rows = [_encode_sample(s, vocab, model_config.max_len) for s in samples]
+    rows = [_encode_sample(s, vocab) for s in samples]
+    lengths = [len(row[0]) for row in rows]
+    check_lengths(lengths, model_config.max_len)
 
     model = Model.initialize(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
@@ -142,16 +161,8 @@ def train(
     loss_log: list[EpochLoss] = []
     n = len(rows)
     for _ in range(config.epochs):
-        order = shuffle.permutation(n)
-        # group near-equal lengths to keep padding small, stable within buckets
-        order = sorted(order, key=lambda i: len(rows[i][0]) // 8)
-        batches = [
-            order[start : start + config.batch_size]
-            for start in range(0, n, config.batch_size)
-        ]
         sums = {"total": 0.0, "detection": 0.0, "generation": 0.0, "category": 0.0}
-        for b in shuffle.permutation(len(batches)):
-            chosen = batches[b]
+        for chosen in epoch_batches(lengths, config.batch_size, shuffle):
             batch = make_batch([rows[i] for i in chosen])
             losses, grads = model.loss_and_grads(batch, weights)
             if math.isnan(losses["total"]):

@@ -550,7 +550,7 @@ BAD_INPUTS = {
     ),
     "training text longer than max_len": (
         {"data.jsonl": SAMPLE + LONG + POSITIVE}, [*TRAIN, "--max-len", 4], {},
-        "data.jsonl: training text of 6 tokens exceeds max_len 4",
+        "data.jsonl: record 2 has 5 tokens; max_len 4 leaves room for 3 after [CLS]",
     ),
 }
 
@@ -575,7 +575,7 @@ def test_eval_record_longer_than_max_len_is_one_line(tmp_path):
     proc = run_cli(
         "eval", "--model", "m.spsy", "--data", "data.jsonl", "--report", "r.json", cwd=tmp_path
     )
-    assert_one_line(proc, "data.jsonl: sequence length 6 exceeds max_len 4")
+    assert_one_line(proc, "data.jsonl: record 2 has 5 tokens; max_len 4 leaves room for 3 after [CLS]")
 
 
 def assert_one_line(proc, reason):

@@ -34,7 +34,17 @@ from specsyn.model import (
     weighted_ce,
 )
 from specsyn.model.checkpoint import CheckpointError
-from specsyn.model.network import GENERATE_MAX_TOKENS
+from specsyn.model.network import (
+    GENERATE_MAX_TOKENS,
+    _LN_EPS,
+    _GELU_C,
+    _gelu,
+    _gelu_grad,
+    _layer_norm,
+    _layer_norm_grad,
+    _softmax,
+)
+from specsyn.model.train import epoch_batches
 from specsyn.synthdata import LabeledSample
 
 SMALL = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
@@ -289,6 +299,114 @@ class TestEncoderOracle:
                 assert relative_error(grads[name], g) < 1e-10, f"{context}, {name}"
 
 
+# The out-of-place kernels that the in-place ones in specsyn.model.network
+# replaced, kept as the reference they must equal bit for bit.
+
+
+def reference_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_gelu(x):
+    x2 = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * x2 * x))
+    return 0.5 * x * (1.0 + t), t
+
+
+def reference_gelu_grad(x, t):
+    u = 1.0 - t * t
+    u *= _GELU_C * (0.5 * x + 0.0670725 * x * x * x)
+    u += 0.5 * (1.0 + t)
+    return u
+
+
+def reference_layer_norm(x, scale, shift):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = centered * inv
+    return xhat * scale + shift, (xhat, inv)
+
+
+def reference_layer_norm_grad(dy, cache, scale, grads, prefix):
+    xhat, inv = cache
+    axes = tuple(range(dy.ndim - 1))
+    grads[prefix + "/scale"] = (dy * xhat).sum(axis=axes)
+    grads[prefix + "/shift"] = dy.sum(axis=axes)
+    dxhat = dy * scale
+    mean1 = dxhat.mean(axis=-1, keepdims=True)
+    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - mean1 - xhat * mean2)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    else:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def unchanged_call(kernel, *args):
+    """kernel(*args), after checking that it leaves every array argument as it was."""
+    before = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    out = kernel(*args)
+    for a, b in zip(args, before):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+    return out
+
+
+# the protocol's batch shapes: B=32, L=37, d=64, 4 heads, FFN width 256; the
+# last block and the final LayerNorm see only the [CLS] row
+KERNEL_ROWS = [37, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+class TestKernels:
+    """Each in-place kernel equals its out-of-place formula exactly."""
+
+    def test_softmax(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        scores = (3.0 * rng.normal(size=(32, 4, rows, 37))).astype(dtype)
+        scores[:, :, :, 30:] = -np.inf  # masked keys
+        assert_same(unchanged_call(_softmax, scores), reference_softmax(scores))
+        logits = rng.normal(size=(32, 5)).astype(dtype)
+        assert_same(unchanged_call(_softmax, logits), reference_softmax(logits))
+
+    def test_gelu_and_its_gradient(self, dtype, rows):
+        rng = np.random.default_rng(10 + rows)
+        x = (2.0 * rng.normal(size=(32, rows, 256))).astype(dtype)
+        y, t = unchanged_call(_gelu, x)
+        assert_same((y, t), reference_gelu(x))
+        assert_same(unchanged_call(_gelu_grad, x, t), reference_gelu_grad(x, t))
+
+    def test_layer_norm_and_its_gradient(self, dtype, rows):
+        rng = np.random.default_rng(20 + rows)
+        x = (1.0 + 2.0 * rng.normal(size=(32, rows, 64))).astype(dtype)
+        scale = rng.normal(1.0, 0.2, size=64).astype(dtype)
+        shift = rng.normal(0.0, 0.2, size=64).astype(dtype)
+        y, cache = unchanged_call(_layer_norm, x, scale, shift)
+        want_y, want_cache = reference_layer_norm(x, scale, shift)
+        assert_same((y, cache), (want_y, want_cache))
+
+        dy = rng.normal(size=x.shape).astype(dtype)
+        grads, want_grads = {}, {}
+        dx = unchanged_call(_layer_norm_grad, dy, cache, scale, grads, "ln")
+        want_dx = reference_layer_norm_grad(dy, want_cache, scale, want_grads, "ln")
+        assert_same(dx, want_dx)
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert_same(grads[name], g)
+
+
 class TestGenerate:
     def test_greedy_is_deterministic(self, model, vocab):
         h = model.encode([CLS_ID] + vocab.encode(TEXTS[0]))
@@ -353,6 +471,22 @@ class TestBatching:
         b = make_batch(rows)
         assert b.gen_in.shape == (1, 1)
         assert not b.gen_mask.any()
+
+    @pytest.mark.parametrize("n,batch_size", [(100, 8), (96, 32), (7, 32), (1, 1)])
+    def test_epoch_batches(self, n, batch_size):
+        lengths = np.random.default_rng(n).integers(10, 15, size=n).tolist()
+        epochs = []
+        for _ in range(2):
+            rng = np.random.default_rng([n, batch_size])
+            epochs.append([epoch_batches(lengths, batch_size, rng) for _ in range(3)])
+        assert epochs[0] == epochs[1]  # a seed always gives the same batches
+        assert epochs[0][0] != epochs[0][1] or n <= batch_size  # epochs differ
+        for batches in epochs[0]:
+            assert sorted(i for b in batches for i in b) == list(range(n))
+            assert len(batches) == math.ceil(n / batch_size)
+            assert sorted(map(len, batches))[1:] == [batch_size] * (len(batches) - 1)
+            mixed = sum(len({lengths[i] for i in b}) > 1 for b in batches)
+            assert mixed <= len(set(lengths)) - 1
 
     def test_config_validation(self):
         with pytest.raises(ModelError):
