@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import html.parser
 import re
+import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from . import dsl
@@ -39,6 +40,21 @@ class ExtractionType(enum.Enum):
     COMPLEX_MULTI = "complex_multi"
 
 
+# Keyword matching and tagging fold case over ASCII only: str.lower would
+# turn the Kelvin sign into "k" and "İ" into two characters, and full
+# Unicode folding would let "ſ" or "ı" stand for "s" or "i" in a keyword.
+ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+WORD_CHARS = frozenset(string.ascii_lowercase + string.digits + "_")
+# no keyword may touch one of these on either side
+_KEYWORD_EDGE = WORD_CHARS | {"-"}
+
+# The words and single symbols of ASCII-lowered text. Every keyword,
+# lexicon surface and number starts where one of these tokens does, so
+# matchers look only there, and only at tokens a literal can start with.
+TOKEN_RE = re.compile(r"[a-z0-9_]+|[^\sa-z0-9_]")
+
+
 @dataclass(frozen=True)
 class KeywordSet:
     """Configuration parameter names for one piece of software."""
@@ -53,17 +69,50 @@ class KeywordSet:
         if bad := _bad_keyword(self.keywords):
             raise CorpusError(bad[1])
 
-    def pattern(self) -> re.Pattern:
-        return _keyword_pattern(self.keywords)
+    @cached_property
+    def by_first_token(self) -> dict:
+        """First token of each ASCII-lowered keyword -> (lowered, keyword)
+        pairs, longest first; among equal spellings the earlier keyword."""
+        table = {}
+        for kw in sorted(self.keywords, key=len, reverse=True):
+            low = kw.translate(ASCII_LOWER)
+            table.setdefault(TOKEN_RE.match(low).group(), []).append((low, kw))
+        return table
+
+    def match(self, low: str, at: int, token: str):
+        """(end, keyword) of the keyword spelled at `at` of ASCII-lowered
+        `low`, where a `TOKEN_RE` token `token` starts; None if there is none.
+
+        A keyword may carry a "--" flag prefix and may not touch a letter,
+        digit, "_" or "-" on either side. The prefix is taken whenever a
+        keyword follows it; then the longest keyword that fits wins."""
+        if at and low[at - 1] in _KEYWORD_EDGE:
+            return None
+        if (low.startswith("--", at) and (after := TOKEN_RE.match(low, at + 2))
+                and (hit := self._longest(low, at + 2, after.group()))):
+            return hit
+        return self._longest(low, at, token)
+
+    def _longest(self, low: str, at: int, token: str):
+        for spelled, kw in self.by_first_token.get(token, ()):
+            end = at + len(spelled)
+            if low.startswith(spelled, at) and (end == len(low) or low[end] not in _KEYWORD_EDGE):
+                return end, kw
+        return None
 
     def find(self, text: str) -> list:
-        """Canonical names of keywords present, in order of first occurrence."""
-        found = []
-        for m in self.pattern().finditer(text):
-            name = _canonical_keyword(self.keywords, m.group())
-            if name not in found:
-                found.append(name)
-        return found
+        """Keywords present, spelled as in the set, in order of first occurrence."""
+        low = text.translate(ASCII_LOWER)
+        starts = self.by_first_token
+        found = {}
+        end = 0
+        for token in TOKEN_RE.finditer(low):
+            word = token.group()
+            if ((word in starts or word == "-") and token.start() >= end
+                    and (hit := self.match(low, token.start(), word))):
+                end, kw = hit
+                found[kw] = None
+        return list(found)
 
 
 def _bad_keyword(keywords):
@@ -77,28 +126,6 @@ def _bad_keyword(keywords):
             return i, f"keyword {kw!r} is repeated"
         seen.add(kw)
     return None
-
-
-@lru_cache(maxsize=64)
-def _keyword_pattern(keywords: tuple) -> re.Pattern:
-    # word-boundary match, optional --flag prefix, case folded over ASCII
-    # only: full Unicode folding would let "ſ", "ı" or the Kelvin sign stand
-    # for "s", "i" or "k" in a keyword (and in its edge guards)
-    alternatives = "|".join(
-        re.escape(kw) for kw in sorted(keywords, key=len, reverse=True)
-    )
-    return re.compile(
-        rf"(?<![A-Za-z0-9_-])(?:--)?(?:{alternatives})(?![A-Za-z0-9_-])",
-        re.IGNORECASE | re.ASCII,
-    )
-
-
-def _canonical_keyword(keywords: tuple, surface: str) -> str:
-    lowered = surface.lower().lstrip("-")
-    for kw in keywords:
-        if kw.lower() == lowered:
-            return kw
-    return surface
 
 
 @dataclass(frozen=True)

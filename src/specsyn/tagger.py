@@ -5,6 +5,13 @@ ASCII-lowercased text with literals replaced by tag tokens (``<num1>``,
 ``<keyword1>``, ...) and T maps each tag id back to the surface string it
 replaced.  ``detag`` is the inverse direction: it substitutes surfaces into a
 generated token sequence and parses the result into a ``dsl.Specification``.
+
+Literals are found by lookup, not by pattern search: the lowercased text is
+split into words and single symbols (``corpus.TOKEN_RE``), and only a token
+that a keyword or lexicon surface starts with, a "-" or a token that starts
+with a decimal digit is looked at. Keywords come from ``KeywordSet.match``,
+the matcher ``KeywordSet.find`` uses, and lexicon surfaces from a table keyed
+by first token that is built once per keyword set and lexicons.
 """
 
 from __future__ import annotations
@@ -12,14 +19,13 @@ from __future__ import annotations
 import enum
 import os
 import re
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .corpus import KeywordSet
+from .corpus import ASCII_LOWER, TOKEN_RE, WORD_CHARS, KeywordSet
 from .files import content_lines
 
 
@@ -65,12 +71,6 @@ TAG_SLOTS = 8
 # checker reads observed values with the same grammar
 NUMBER_RE = re.compile(r"-?(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
 
-_WORD = set("abcdefghijklmnopqrstuvwxyz0123456789_")
-
-# Text and lexicon lines fold case over ASCII only, as keyword matching does:
-# str.lower would turn the Kelvin sign into "k" and "İ" into two characters.
-ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-
 
 @dataclass(frozen=True)
 class Lexicons:
@@ -111,72 +111,79 @@ class TaggedCandidate:
 def _number_guard_ok(text: str, start: int, end: int) -> bool:
     # never split a dotted version like 11.7.8 into separate numbers; kept in
     # Python because str.isdigit, unlike a regex \d, counts "²" as a digit
-    if start > 0 and (text[start - 1] in _WORD or
+    if start > 0 and (text[start - 1] in WORD_CHARS or
                       (text[start - 1] == "." and start > 1 and text[start - 2].isdigit())):
         return False
-    if end < len(text) and (text[end] in _WORD or
+    if end < len(text) and (text[end] in WORD_CHARS or
                             (text[end] == "." and end + 1 < len(text) and text[end + 1].isdigit())):
         return False
     return True
 
 
-def _guarded(surface: str) -> str:
-    """A lexicon surface that does not start or end inside a word."""
-    head = "(?<![a-z0-9_])" if surface[0] in _WORD else ""
-    tail = "(?![a-z0-9_])" if surface[-1] in _WORD else ""
-    return head + re.escape(surface) + tail
+# TOKEN_RE with whitespace as tokens too, for lexicons whose surfaces start there
+_TOKEN_OR_SPACE_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_]")
 
 
 @lru_cache(maxsize=64)
-def _patterns(keywords: KeywordSet, lexicons: Lexicons):
-    """The start, keyword and lexicon patterns, and each surface's class.
+def _lookup(keywords: KeywordSet, lexicons: Lexicons):
+    """The token pattern, the lexicon table and the tokens worth a look.
 
-    The lexicon alternation tries surfaces longest first, so its one match
-    is the longest lexicon literal at a position. The start pattern matches
-    wherever a keyword, a lexicon surface or a number can start."""
+    The table maps the first token of each lexicon surface to its (surface,
+    class, tail guard) triples, longest first. A token is worth a look when
+    a keyword or a surface starts with it or it is a "-"; tokens that start
+    with a decimal digit are looked at too."""
     # ascending priority, so a surface in two classes keeps the higher one
     classes = {surface: cls for cls in (TagClass.UNIT, TagClass.BOOL, TagClass.FORMAT)
                for surface in lexicons.surfaces(cls)}
-    lexicon = "|".join(_guarded(s) for s in sorted(classes, key=len, reverse=True)) or "(?!)"
-    keyword = keywords.pattern()
-    start = re.compile(f"(?ai:{keyword.pattern})|{lexicon}|{NUMBER_RE.pattern}")
-    return start, keyword, re.compile(lexicon), classes
+    token_re = TOKEN_RE if all(map(TOKEN_RE.match, classes)) else _TOKEN_OR_SPACE_RE
+    table: dict = {}
+    for surface in sorted(classes, key=len, reverse=True):
+        table.setdefault(token_re.match(surface).group(), []).append(
+            (surface, classes[surface], surface[-1] in WORD_CHARS))
+    return token_re, table, {*table, *keywords.by_first_token, "-"}
 
 
 def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandidate:
     """Replace literal patterns in text, lowercased over ASCII, with numbered tags.
 
-    The scan searches for the next place where a keyword, lexicon surface or
-    number can start. There the longest of the three wins, and equal lengths
-    go to the class with the higher priority; text between literals is
-    copied as it stands."""
-    start_re, keyword_re, lexicon_re, classes = _patterns(keywords, lexicons)
+    The scan splits the text into words and single symbols and looks only
+    at tokens that a keyword, a lexicon surface or a number can start with.
+    There the keyword comes from `KeywordSet.match`, the longest fitting
+    surface from a table keyed by first token, and the number from
+    `NUMBER_RE`; the longest of the three wins, and equal lengths go to the
+    class with the higher priority. Text between literals is copied as it
+    stands."""
+    token_re, lexicon, worth_a_look = _lookup(keywords, lexicons)
     low = text.translate(ASCII_LOWER)
     ids: dict = {}  # (class, surface) -> tag id
-    counters = {cls: 0 for cls in TagClass}
+    counters: dict = {}  # class -> tags so far
     tags: dict = {}
     out = []
     i = 0
-    while (start := start_re.search(low, i)) is not None:
-        at = start.start()
-        out.append(low[i:at])
+    for token in token_re.finditer(low):
+        word = token.group()
+        if not (word in worth_a_look or word[0].isdecimal()) or (at := token.start()) < i:
+            continue
         found = []
-        if m := keyword_re.match(low, at):
-            found.append((TagClass.KEYWORD, m.group()))
-        if m := lexicon_re.match(low, at):
-            found.append((classes[m.group()], m.group()))
+        if hit := keywords.match(low, at, word):
+            found.append((TagClass.KEYWORD, low[at:hit[0]]))
+        for surface, cls, tail_guard in lexicon.get(word, ()):
+            end = at + len(surface)
+            if low.startswith(surface, at) and not (
+                    tail_guard and end < len(low) and low[end] in WORD_CHARS):
+                found.append((cls, surface))
+                break
         if (m := NUMBER_RE.match(low, at)) and _number_guard_ok(low, at, m.end()):
             found.append((TagClass.NUM, m.group()))
         if not found:
-            out.append(low[at])
-            i = at + 1
             continue
         key = cls, surface = max(found, key=lambda c: (len(c[1]), _PRIORITY[c[0]]))
         if key not in ids:
-            counters[cls] += 1
+            counters[cls] = counters.get(cls, 0) + 1
             tag_id = f"{cls.value}{counters[cls]}"
             ids[key] = tag_id
             tags[tag_id] = surface
+        out.append(low[i:at])
         out.append(f"<{ids[key]}>")
         i = at + len(surface)
     out.append(low[i:])

@@ -2,12 +2,17 @@
 the reference its output is compared against.
 
 At every character it asks each literal class for its longest match there
-and takes the best by (length, class priority).
+and takes the best by (length, class priority). Keywords are found with the
+keyword alternation that `specsyn.corpus.KeywordSet.find` used before it
+moved to a word lookup, so the reference shares no matcher with the code it
+checks.
 """
 
 from __future__ import annotations
 
-from specsyn.corpus import KeywordSet, _keyword_pattern
+import re
+
+from specsyn.corpus import KeywordSet
 from specsyn.tagger import (
     _PRIORITY,
     ASCII_LOWER,
@@ -19,6 +24,36 @@ from specsyn.tagger import (
 )
 
 _WORD = set("abcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def keyword_pattern(keywords: tuple) -> re.Pattern:
+    """Keywords at word boundaries, with an optional --flag prefix, folding
+    case over ASCII only; alternatives are tried longest first."""
+    alternatives = "|".join(
+        re.escape(kw) for kw in sorted(keywords, key=len, reverse=True)
+    )
+    return re.compile(
+        rf"(?<![A-Za-z0-9_-])(?:--)?(?:{alternatives})(?![A-Za-z0-9_-])",
+        re.IGNORECASE | re.ASCII,
+    )
+
+
+def find_keywords(text: str, keywords: tuple) -> list:
+    """The keywords `keyword_pattern` finds in text, in order of first
+    occurrence, each named as in `keywords`. A match names the keyword the
+    alternation took: the one after a "--" when there is one, else the one
+    it spells, the earlier of two that differ only in case."""
+    names: dict = {}
+    for kw in keywords:
+        names.setdefault(kw.translate(ASCII_LOWER), kw)
+    found = []
+    for m in keyword_pattern(tuple(keywords)).finditer(text):
+        surface = m.group().translate(ASCII_LOWER)
+        name = names.get(surface[2:]) if surface.startswith("--") else None
+        name = name or names[surface]
+        if name not in found:
+            found.append(name)
+    return found
 
 
 def _boundary_ok(text: str, start: int, end: int, surface: str) -> bool:
@@ -59,7 +94,7 @@ class _Matcher:
     def __init__(self, keywords, lexicons: Lexicons):
         if isinstance(keywords, KeywordSet):
             keywords = keywords.keywords
-        self.keyword_pattern = _keyword_pattern(tuple(keywords)) if keywords else None
+        self.keyword_pattern = keyword_pattern(tuple(keywords)) if keywords else None
         self.lexicons = lexicons
         self._sorted = {
             cls: sorted(lexicons.surfaces(cls), key=len, reverse=True)

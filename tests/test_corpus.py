@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import tag_oracle
 from specsyn import corpus
 from specsyn.corpus import (
     CandidateText,
@@ -17,11 +18,41 @@ from specsyn.corpus import (
     split_sentences,
 )
 from specsyn.files import InputError, read_text
+from test_grammars import KEYWORDS as GRAMMAR_KW
+from test_tagger import PREFIX_KW
 
 KW = KeywordSet("mysql", ("max_rows", "user_port", "have_ssl", "have_open_ssl"))
 
+# spellings that differ only in case, a Kelvin-sign keyword, a flag-like
+# keyword beside its bare form, and keywords that are prefixes of each
+# other across "-" and "."
+MIXED_KW = KeywordSet("x", ("Max_Rows", "max_rows", "\u212aey_size", "key_size", "--a", "a",
+                            "a.b", "foo-bar", "foo"))
+
+# characters that may sit next to a keyword: word characters, "-", symbols,
+# and letters that Unicode case folding would take for "s", "i" or "k"
+KEYWORD_NEIGHBOURS = ("x", "_", "9", "-", "--", ".", "/", "é", "ſ", "ı", "\u212a", "s", "i", "k")
+LOOK_ALIKES = {"s": "ſ", "i": "ı", "k": "\u212a"}
+
 SENTENCE_STARTS = ["Set", "The", "Use", "Keep", "MySQL", "Every"]
 SENTENCE_WORDS = ["set", "the", "value", "to", "max_rows", "user_port", "above", "mb"]
+
+
+def random_keyword_text(rng: random.Random, keywords: tuple) -> str:
+    """Keywords in mixed case, with and without "--", some letters swapped
+    for look-alikes, glued to or spaced from their neighbours."""
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.5:
+            kw = "".join(LOOK_ALIKES.get(c, c) if rng.random() < 0.05
+                         else c.upper() if rng.random() < 0.3 else c
+                         for c in rng.choice(keywords))
+            parts.append(rng.choice(("", "", "-", "--", "---")) + kw)
+        else:
+            parts.append(rng.choice(KEYWORD_NEIGHBOURS))
+        if rng.random() < 0.6:
+            parts.append(rng.choice(" .,;-_/"))
+    return "".join(parts)
 
 
 def random_sentence(rng: random.Random) -> str:
@@ -219,6 +250,32 @@ class TestKeywordSet:
             "user_port",
             "max_rows",
         ]
+
+    def test_dashed_keyword_is_named_as_spelled(self):
+        keywords = KeywordSet("x", ("--log.level",))
+        assert keywords.find("set --LOG.LEVEL and ----log.level") == ["--log.level"]
+        sentences = ["Set --LOG.LEVEL here.", "Then ----log.level there."]
+        spans = [c for c in extract_candidates(sentences, keywords, window=2)
+                 if c.type is not ExtractionType.SIMPLE]
+        assert [(c.type, c.keywords) for c in spans] == [
+            (ExtractionType.COMPLEX_SINGLE, ("--log.level",))]
+
+    def test_flag_prefix_is_taken_first(self):
+        # as in a regex whose "--" is optional and greedy: "--a" is a
+        # keyword too, but "a" follows the prefix
+        assert MIXED_KW.find("--a") == ["a"]
+        assert MIXED_KW.find("----a") == ["--a"]
+        assert MIXED_KW.find("---a") == []
+        assert MIXED_KW.find("--a.b") == ["a.b"]
+        assert MIXED_KW.find("--MAX_ROWS") == ["Max_Rows"]
+
+    @pytest.mark.parametrize("keywords", [PREFIX_KW, GRAMMAR_KW, MIXED_KW],
+                             ids=["prefixes", "grammars", "mixed"])
+    def test_find_matches_reference_pattern(self, keywords):
+        rng = random.Random(6023)
+        for _ in range(3000):
+            text = random_keyword_text(rng, keywords.keywords)
+            assert keywords.find(text) == tag_oracle.find_keywords(text, keywords.keywords), text
 
     def test_validation(self):
         with pytest.raises(CorpusError):

@@ -164,7 +164,7 @@ PIECES = (
 )
 
 
-def random_text(rng: random.Random, lex: Lexicons) -> str:
+def random_text(rng: random.Random, lex: Lexicons, pieces: tuple = PIECES) -> str:
     surfaces = lex.bool_surfaces + lex.unit_surfaces + lex.format_surfaces
     parts = []
     for _ in range(rng.randint(0, 14)):
@@ -175,7 +175,7 @@ def random_text(rng: random.Random, lex: Lexicons) -> str:
         elif roll < 0.55:
             parts.append(str(rng.randint(0, 10 ** rng.randint(1, 7))))
         else:
-            parts.append(rng.choice(PIECES))
+            parts.append(rng.choice(pieces))
         if rng.random() < 0.5:  # otherwise glued to the next piece
             parts.append(rng.choice(" .,;-_"))
     return "".join(parts)
@@ -201,6 +201,41 @@ class TestOracle:
             want = tag_oracle.tag_text(text, PREFIX_KW, custom)
             assert tag_text(text, PREFIX_KW, custom) == want, text
         assert tag_text("4 k", PREFIX_KW, custom).tags == {"num1": "4", "bool1": "k"}
+
+    # what a lookup by first token can get wrong: surfaces that start or end
+    # with a symbol, a digit or a space, multi-word surfaces glued to words,
+    # keywords that are prefixes of each other across "-" and ".", a keyword
+    # that is also a surface, and decimal digits outside ASCII
+    EDGE_LEX = Lexicons(bool_surfaces=("on", "0", "-x", "foo"),
+                        unit_surfaces=("%", "kb/s", "kb", "x-", " mb"),
+                        format_surfaces=("email address", "foo bar"))
+    EDGE_KW = KeywordSet("x", ("foo", "foo-bar", "a.b", "email", "--log.level"))
+    EDGE_PIECES = PIECES + (
+        "email addressno", "xemail address", "email address", "a.b.c", "a.b", "foo-bar-baz",
+        "foo-bar", "foo.bar", "--foo", "kb/sec", "kb/s", "x-", "-x", "0", "00", "10%", " mb",
+        "ab٣", "-٣", "٣kb", "٣",
+    )
+
+    @pytest.mark.parametrize("text, want", [
+        ("xemail address or email addressno", "xemail address or <keyword1> addressno"),
+        ("an email address", "an <format1>"),
+        # "-" may not touch a keyword but may touch a surface
+        ("a.b.c and foo-bar-baz", "<keyword1>.c and <bool1>-bar-baz"),
+        ("foo-bar, foo", "<keyword1>, <keyword2>"),
+        ("ab٣ -٣ ٣kb", "ab٣ <num1> ٣<unit1>"),
+        ("-x x- 0 10%", "<bool1> <unit1> <bool2> <num1><unit2>"),
+        ("4 mb", "<num1><unit1>"),
+    ])
+    def test_lookup_edges(self, text, want):
+        assert tag_oracle.tag_text(text, self.EDGE_KW, self.EDGE_LEX).text == want
+        assert tag_text(text, self.EDGE_KW, self.EDGE_LEX).text == want
+
+    def test_lookup_edges_random_text(self):
+        rng = random.Random(6024)
+        for _ in range(3000):
+            text = random_text(rng, self.EDGE_LEX, self.EDGE_PIECES)
+            want = tag_oracle.tag_text(text, self.EDGE_KW, self.EDGE_LEX)
+            assert tag_text(text, self.EDGE_KW, self.EDGE_LEX) == want, text
 
     def test_every_composed_text(self, monkeypatch, lex):
         seen = []
