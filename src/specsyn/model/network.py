@@ -8,7 +8,8 @@ token sequence. Since only the [CLS] row leaves the last block, that block
 computes its query, attention output and FFN for the [CLS] row alone, in
 the forward and the backward pass; its keys and values cover every position.
 Inference encodes texts of one token length together, so no row is padded,
-and decodes flagged rows in small batches (`encode_groups`, `generate_batch`).
+keeps no backward cache, and decodes flagged rows in small batches
+(`encode_groups`, `generate_batch`).
 
 Every parameter lives in a flat name -> array mapping and every gradient
 is derived by hand, so the complete network can be checked against central
@@ -56,9 +57,13 @@ GENERATOR_HIDDEN = 20
 # greedy decoding stops after this many tokens without [EOS]
 GENERATE_MAX_TOKENS = 24
 # Inference batches: an encoder call holds rows of one length and at most
-# this many tokens in all (one row at least); the forward pass keeps about
-# 15 KB of transients per token. Greedy decoding runs this many rows at once.
-ENCODE_TOKEN_BUDGET = 64
+# this many tokens in all (one row at least); greedy decoding runs this many
+# rows at once. Both come from a sweep of in-process `eval` over 1,000
+# protocol samples (BENCH_inferbatch.json): 128 to 384 tokens ran about 1.2x
+# as fast as 64, and 192 tokens with 16 rows was the fastest point with no
+# minor page faults per call. From 256 tokens up calls began to fault, and
+# from 512 up each took 26k-44k faults and ran slower again.
+ENCODE_TOKEN_BUDGET = 192
 DECODE_ROWS = 16
 # never generated: the control tokens other than [EOS], and every tag token
 # until a row's tag map allows it
@@ -151,12 +156,10 @@ def _cross_entropy(logits, targets, weights):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x)); both
+    branches take exp of -|x|, which is -x on the first and x on the second."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # The elementwise kernels below allocate their outputs and at most one
@@ -323,7 +326,10 @@ class Model:
 
     # ------------------------------------------------------------------ encoder
 
-    def _encode_batch(self, ids, mask):
+    def _encode_batch(self, ids, mask, keep_cache=True):
+        """Pooled [CLS] vectors h_c of shape (B, d), and the cache that
+        `_encode_backward` needs, or None without keep_cache: inference then
+        frees each block's transients as the next block replaces them."""
         p, cfg = self.params, self.config
         length = ids.shape[1]
         if length > cfg.max_len:
@@ -361,12 +367,13 @@ class Model:
             h = r @ p[f"{blk}/ffn/w2"]
             h += h1
             h += p[f"{blk}/ffn/b2"]
-            blocks.append((rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
+            if keep_cache:
+                blocks.append((rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
 
         normed, final_ln = _layer_norm(h, p["final_ln/scale"], p["final_ln/shift"])
         h_cls = normed[:, 0]
         h_c = np.tanh(h_cls @ p["pool/w1"])
-        cache = (ids, length, scale, blocks, final_ln, h_cls, h_c)
+        cache = (ids, length, scale, blocks, final_ln, h_cls, h_c) if keep_cache else None
         return h_c, cache
 
     def _encode_backward(self, dh_c, cache, grads):
@@ -415,9 +422,10 @@ class Model:
             dh = _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1")
             dh[:, rows] += dh1
 
-        _acc(grads, "embed/positions", np.zeros_like(p["embed/positions"]))
+        for name in ("embed/positions", "embed/tokens"):
+            if name not in grads:  # the generator has usually made embed/tokens
+                grads[name] = np.zeros_like(p[name])
         grads["embed/positions"][:length] += dh.sum(axis=0)
-        _acc(grads, "embed/tokens", np.zeros_like(p["embed/tokens"]))
         np.add.at(grads["embed/tokens"], ids.reshape(-1), dh.reshape(-1, cfg.d_model))
 
     # ------------------------------------------------------------------ heads
@@ -524,7 +532,7 @@ class Model:
 
     def _run(self, batch: Batch, weights, want_grads: bool):
         b = batch.size
-        h_c, enc_cache = self._encode_batch(batch.ids, batch.mask)
+        h_c, enc_cache = self._encode_batch(batch.ids, batch.mask, keep_cache=want_grads)
         weights = np.asarray(weights, dtype=h_c.dtype)
 
         det_logits, det_cache = self._mlp_forward("detect", h_c)
@@ -597,7 +605,8 @@ class Model:
         ids = np.asarray(list(ids), dtype=np.int64)
         if ids.size == 0 or ids[0] != CLS_ID:
             raise ModelError("sequence must start with [CLS]")
-        h_c, _ = self._encode_batch(ids[None, :], np.ones((1, ids.size), dtype=bool))
+        h_c, _ = self._encode_batch(
+            ids[None, :], np.ones((1, ids.size), dtype=bool), keep_cache=False)
         return h_c[0]
 
     def encode_text(self, text: str) -> np.ndarray:
@@ -627,7 +636,8 @@ class Model:
             for start in range(0, len(members), step):
                 rows = members[start:start + step]
                 ids = np.array([sequences[i] for i in rows], dtype=np.int64)
-                yield rows, self._encode_batch(ids, np.ones(ids.shape, dtype=bool))[0]
+                mask = np.ones(ids.shape, dtype=bool)
+                yield rows, self._encode_batch(ids, mask, keep_cache=False)[0]
 
     def generate(self, h_c, tags) -> GenerationResult:
         """Greedy decode of one pooled vector; see `generate_batch`."""

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
-from specsyn.model import EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, tokenize
+from specsyn.model import EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
 from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
 from specsyn.tagger import TagClass, load_lexicons
 
@@ -443,9 +444,9 @@ def encoder_calls(monkeypatch):
     calls = []
     real = Model._encode_batch
 
-    def encode_batch(self, ids, mask):
+    def encode_batch(self, ids, mask, **kwargs):
         calls.append((ids, mask))
-        return real(self, ids, mask)
+        return real(self, ids, mask, **kwargs)
 
     monkeypatch.setattr(Model, "_encode_batch", encode_batch)
     return calls
@@ -458,9 +459,10 @@ def copy_model(model):
 class TestInferBatch:
     """`infer_batch` against the one-row loop it replaced (tests/infer_oracle.py)."""
 
-    def assert_matches_oracle(self, model, items):
+    def assert_matches_oracle(self, model, items, want=None):
         got = eval_module.infer_batch(model, items)
-        want = [infer_oracle.infer(model, text, tags) for text, tags in items]
+        if want is None:
+            want = [infer_oracle.infer(model, text, tags) for text, tags in items]
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert (g.flagged, g.tokens, g.rule, g.failure) == (
@@ -478,8 +480,9 @@ class TestInferBatch:
 
     def test_length_group_larger_than_the_token_budget(self, trained, monkeypatch):
         model, samples = trained
-        # 48 texts of 8 tokens after [CLS]: 9 x 48 tokens in one length group
-        items = [(s.text, s.tags) for s in samples] * 4
+        # texts of 8 tokens after [CLS], 9 tokens each, one length group of
+        # more than ENCODE_TOKEN_BUDGET tokens
+        items = [(s.text, s.tags) for s in samples] * (ENCODE_TOKEN_BUDGET // 9 // len(samples) + 2)
         assert {len(model.vocab.encode(text)) for text, _ in items} == {8}
         calls = encoder_calls(monkeypatch)
         eval_module.infer_batch(model, items)
@@ -497,6 +500,35 @@ class TestInferBatch:
         for ids, mask in calls:
             assert mask.all() and (ids != PAD_ID).all()  # no padding
             assert ids.size <= ENCODE_TOKEN_BUDGET
+
+    def test_results_do_not_depend_on_batch_sizes(self, trained, monkeypatch):
+        model, samples = trained
+        items = [(s.text, s.tags) for s in samples] + random_items(random.Random(13), 300)
+        want = [infer_oracle.infer(model, text, tags) for text, tags in items]
+        flagged = sum(w.flagged for w in want)
+        assert 1 < flagged < 300
+        # texts per sequence length, [CLS] included
+        groups = Counter(1 + len(model.vocab.encode(text)) for text, _ in items)
+        calls = encoder_calls(monkeypatch)
+        decoded = []  # rows per decode batch
+        real_decode = Model._decode
+
+        def decode(self, h_c, tag_maps):
+            decoded.append(len(tag_maps))
+            return real_decode(self, h_c, tag_maps)
+
+        monkeypatch.setattr(Model, "_decode", decode)
+        for budget in (1, ENCODE_TOKEN_BUDGET, 10_000):
+            for rows in (1, 300):
+                monkeypatch.setattr(network, "ENCODE_TOKEN_BUDGET", budget)
+                monkeypatch.setattr(network, "DECODE_ROWS", rows)
+                calls.clear()
+                decoded.clear()
+                self.assert_matches_oracle(model, items, want)
+                assert len(calls) == sum(
+                    -(-n // max(1, budget // length)) for length, n in groups.items())
+                assert decoded == ([1] * flagged if rows == 1 else [flagged])
+        assert len(groups) < len(items)  # 10,000 tokens: one call per length
 
     def test_all_negative_and_empty(self, trained, monkeypatch):
         model = copy_model(trained[0])

@@ -42,6 +42,7 @@ from specsyn.model.network import (
     _gelu_grad,
     _layer_norm,
     _layer_norm_grad,
+    _sigmoid,
     _softmax,
 )
 from specsyn.model.train import epoch_batches
@@ -342,6 +343,15 @@ def reference_layer_norm_grad(dy, cache, scale, grads, prefix):
     return inv * (dxhat - mean1 - xhat * mean2)
 
 
+def reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def assert_same(got, want):
     assert type(got) is type(want)
     if isinstance(want, tuple):
@@ -380,6 +390,16 @@ class TestKernels:
         assert_same(unchanged_call(_softmax, scores), reference_softmax(scores))
         logits = rng.normal(size=(32, 5)).astype(dtype)
         assert_same(unchanged_call(_softmax, logits), reference_softmax(logits))
+
+    def test_sigmoid(self, dtype, rows):
+        rng = np.random.default_rng(30 + rows)
+        gates = (4.0 * rng.normal(size=(rows, 80))).astype(dtype)
+        gates[0, :12] = (0.0, -0.0, 100.0, -100.0, 1e-30, -1e-30, 1000.0, -1000.0,
+                         np.inf, -np.inf, 20.0, -20.0)
+        for x in (gates[:, :20], gates[:, 20:40], gates):  # LSTM gate slices are views
+            got, want = unchanged_call(_sigmoid, x), reference_sigmoid(x)
+            assert_same(got, want)
+            assert got.tobytes() == want.tobytes()  # the signs of zeros too
 
     def test_gelu_and_its_gradient(self, dtype, rows):
         rng = np.random.default_rng(10 + rows)
