@@ -33,8 +33,7 @@ from .dsl import (
     Rule,
     Specification,
     Text,
-    print_spec,
-    single,
+    print_rule,
 )
 from .tagger import NUMBER_RE, Lexicons, bool_polarity, load_lexicons
 
@@ -87,24 +86,25 @@ class ConfigMap:
     )
 
     def put(self, key: str, value: str, line: int) -> None:
-        entry = self.entries.get(key)
-        if entry is not None:
-            entry.earlier_lines += (entry.line,)
-            entry.value, entry.line = value, line
+        entry = ConfigEntry(key, value, line)
+        known = self.entries.setdefault(key, entry)
+        if known is not entry:
+            known.earlier_lines += (known.line,)
+            known.value, known.line = value, line
             return
-        entry = self.entries[key] = ConfigEntry(key, value, line)
         lowered = key.lower()
         normal = lowered.lstrip("-")
         if normal != key:
             self._folded.setdefault(normal, []).append(entry)
+        suffixes = self._suffix
         dot = lowered.find(".")
         while dot != -1:
             suffix = lowered[dot + 1:]
             # one entry is stored bare: most names belong to a single key
-            known = self._suffix.setdefault(suffix, entry)
+            known = suffixes.setdefault(suffix, entry)
             if known is not entry:
                 if type(known) is ConfigEntry:
-                    self._suffix[suffix] = [known, entry]
+                    suffixes[suffix] = [known, entry]
                 else:
                     known.append(entry)
             dot = lowered.find(".", dot + 1)
@@ -130,38 +130,53 @@ class ConfigMap:
         return [found] if type(found) is ConfigEntry else sorted(found, key=_LINE)
 
 
+def _section_name(line: str) -> str:
+    """The name in a `[name]` header line, which may end in a `#` or `;`
+    comment; empty when the header is malformed."""
+    close = line.find("]")
+    if line[close + 1:].lstrip()[:1] in ("#", ";"):
+        return line[1:close].strip()
+    return line[1:-1].strip() if line.endswith("]") else ""
+
+
 def parse_config(text: str, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> ConfigMap:
     """Parse `key = value` / `key value` lines; INI adds `[section]`
     headers whose keys flatten to `section.key`. `#` and `;` start
-    comments; malformed lines are collected, not fatal. Lines end at
+    comments; malformed lines are collected, not fatal, and so is every
+    key under a malformed header, up to the next good one. Lines end at
     `\\n` alone, the form `files.read_text` gives every line end in."""
     config = ConfigMap()
-    section = None
+    put = config.put
+    malformed = config.malformed.append
+    is_key = KEYWORD_RE.fullmatch
+    ini = format is ConfigFormat.INI
+    prefix = ""  # "section." under a good header
+    bad_header = False
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if format is ConfigFormat.INI and line.startswith("["):
-            name = line[1:-1].strip() if line.endswith("]") else ""
-            if name:
-                section = name
+        if ini and line[0] == "[":
+            name = _section_name(line)
+            bad_header = not name
+            if bad_header:
+                malformed(MalformedLine(number, raw, "bad section header"))
             else:
-                config.malformed.append(
-                    MalformedLine(number, raw, "bad section header")
-                )
+                prefix = name + "."
             continue
-        if "=" in line:
-            key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if eq:
             key, value = key.strip(), value.strip()
         else:
             parts = line.split(None, 1)
             key = parts[0]
             value = parts[1].strip() if len(parts) > 1 else ""
-        if not KEYWORD_RE.fullmatch(key):
-            config.malformed.append(MalformedLine(number, raw, "bad key"))
-            continue
-        full = f"{section}.{key}" if section else key
-        config.put(full, value, number)
+        if not is_key(key):
+            malformed(MalformedLine(number, raw, "bad key"))
+        elif bad_header:
+            malformed(MalformedLine(number, raw, "key under a bad section header"))
+        else:
+            put(prefix + key, value, number)
     return config
 
 
@@ -291,7 +306,7 @@ class Violation:
 
     def to_dict(self) -> dict:
         return {
-            "rule": print_spec(single(self.rule)),
+            "rule": print_rule(self.rule),
             "key": self.key,
             "observed": self.observed,
             "line": self.line,
@@ -441,12 +456,19 @@ def has_hard_violations(violations) -> bool:
 
 
 def render_violations(violations) -> str:
-    """Human-readable table, one finding per line."""
+    """Human-readable table, one finding per line; each column is as wide
+    as its widest cell plus a gap."""
     if not violations:
         return "no violations"
-    lines = [f"  {'verdict':<16}{'key':<24}{'observed':<16}line"]
-    for v in violations:
-        observed = v.observed if v.observed is not None else "-"
-        line = str(v.line) if v.line is not None else "-"
-        lines.append(f"  {v.verdict.value:<16}{v.key:<24}{observed:<16}{line}")
-    return "\n".join(lines)
+    rows = [("verdict", "key", "observed", "line")]
+    rows += [
+        (
+            v.verdict.value,
+            v.key,
+            "-" if v.observed is None else v.observed,
+            "-" if v.line is None else str(v.line),
+        )
+        for v in violations
+    ]
+    w1, w2, w3 = (max(map(len, column)) + 2 for column in list(zip(*rows))[:3])
+    return "\n".join([f"  {a.ljust(w1)}{b.ljust(w2)}{c.ljust(w3)}{d}" for a, b, c, d in rows])

@@ -21,9 +21,11 @@ for every valid specification.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .files import InputError, content_lines, write_output
 
@@ -125,15 +127,20 @@ class Number:
 
     def __post_init__(self):
         m = float(self.magnitude)
-        if m != m or m in (float("inf"), float("-inf")):
-            raise ValidationError("number magnitude must be finite")
+        # a whole magnitude below 1e16 is finite and prints as an integer;
+        # any other prints by repr, which may need an exponent
+        if not (m.is_integer() and -1e16 < m < 1e16):
+            if not math.isfinite(m):
+                raise ValidationError("number magnitude must be finite")
+            if "e" in repr(m):
+                raise ValidationError(f"magnitude {m!r} has no canonical decimal form")
         object.__setattr__(self, "magnitude", m)
-        if "e" in format_number(m):
-            raise ValidationError(f"magnitude {m!r} has no canonical decimal form")
-        if self.unit is not None and not UNIT_RE.fullmatch(self.unit):
-            raise ValidationError(f"unit {self.unit!r} is not a valid unit token")
-        if self.unit in _RESERVED:
-            raise ValidationError(f"unit {self.unit!r} collides with a reserved word")
+        unit = self.unit
+        if unit is not None:
+            if not UNIT_RE.fullmatch(unit):
+                raise ValidationError(f"unit {unit!r} is not a valid unit token")
+            if unit in _RESERVED:
+                raise ValidationError(f"unit {unit!r} collides with a reserved word")
 
 
 @dataclass(frozen=True)
@@ -169,39 +176,26 @@ class Text:
 
 Value = Union[Number, Boolean, KeywordRef, FormatClass, Text]
 
-# relation -> (min values, max values); None max = unbounded
-_ARITY = {
-    Relation.EQ: (1, 1),
-    Relation.NEQ: (1, 1),
-    Relation.GT: (1, 1),
-    Relation.LT: (1, 1),
-    Relation.INTERVAL: (2, 2),
-    Relation.SET_MEMBERSHIP: (2, None),
-    Relation.USE: (0, 0),
-    Relation.RECOMMEND: (0, 0),
-    Relation.WITH: (1, 1),
-    Relation.PREFER: (1, 1),
-    Relation.STRING_FORMAT: (1, 1),
+# a relation's value kinds, and the message for a value of another kind
+_NUMERIC = ((Number,), "{relation} requires numeric values, got {value!r}")
+_GENERAL = ((Number, Boolean, KeywordRef, Text), "{relation} does not accept {kind} values")
+_KEYWORD_PAYLOAD = ((KeywordRef,), "{relation} requires a keyword-valued payload")
+_FORMAT_PAYLOAD = ((FormatClass,), "{relation} requires a format-class payload")
+
+# relation -> (min values, max values, value kinds); None max = unbounded
+_SHAPE = {
+    Relation.EQ: (1, 1, _GENERAL),
+    Relation.NEQ: (1, 1, _GENERAL),
+    Relation.GT: (1, 1, _NUMERIC),
+    Relation.LT: (1, 1, _NUMERIC),
+    Relation.INTERVAL: (2, 2, _NUMERIC),
+    Relation.SET_MEMBERSHIP: (2, None, _GENERAL),
+    Relation.USE: (0, 0, _GENERAL),
+    Relation.RECOMMEND: (0, 0, _GENERAL),
+    Relation.WITH: (1, 1, _KEYWORD_PAYLOAD),
+    Relation.PREFER: (1, 1, _KEYWORD_PAYLOAD),
+    Relation.STRING_FORMAT: (1, 1, _FORMAT_PAYLOAD),
 }
-
-_GENERAL_VALUE_KINDS = (Number, Boolean, KeywordRef, Text)
-
-
-def _check_value_kinds(relation: Relation, values: tuple) -> None:
-    if relation in (Relation.GT, Relation.LT, Relation.INTERVAL):
-        for v in values:
-            if not isinstance(v, Number):
-                raise ValidationError(f"{relation.name} requires numeric values, got {v!r}")
-    elif relation in (Relation.WITH, Relation.PREFER):
-        if not isinstance(values[0], KeywordRef):
-            raise ValidationError(f"{relation.name} requires a keyword-valued payload")
-    elif relation is Relation.STRING_FORMAT:
-        if not isinstance(values[0], FormatClass):
-            raise ValidationError("STRING_FORMAT requires a format-class payload")
-    else:
-        for v in values:
-            if not isinstance(v, _GENERAL_VALUE_KINDS):
-                raise ValidationError(f"{relation.name} does not accept {type(v).__name__} values")
 
 
 @dataclass(frozen=True)
@@ -211,16 +205,24 @@ class Rule:
     values: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        values = self.values
+        if type(values) is not tuple:
+            values = tuple(values)
+            object.__setattr__(self, "values", values)
         _check_keyword_token(self.keyword, "rule keyword")
-        lo, hi = _ARITY[self.relation]
-        n = len(self.values)
+        relation = self.relation
+        lo, hi, (kinds, wrong_kind) = _SHAPE[relation]
+        n = len(values)
         if n < lo or (hi is not None and n > hi):
             want = str(lo) if lo == hi else (f">= {lo}" if hi is None else f"{lo}..{hi}")
-            raise ArityError(f"{self.relation.name} takes {want} value(s), got {n}")
-        _check_value_kinds(self.relation, self.values)
-        if self.relation is Relation.INTERVAL:
-            lo_v, hi_v = self.values
+            raise ArityError(f"{relation.name} takes {want} value(s), got {n}")
+        for v in values:
+            if not isinstance(v, kinds):
+                raise ValidationError(
+                    wrong_kind.format(relation=relation.name, value=v, kind=type(v).__name__)
+                )
+        if relation is Relation.INTERVAL:
+            lo_v, hi_v = values
             lo_unit = (lo_v.unit or "").lower()
             hi_unit = (hi_v.unit or "").lower()
             if lo_unit != hi_unit:
@@ -240,14 +242,19 @@ class Specification:
     connectives: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "connectives", tuple(self.connectives))
-        if not self.rules:
+        rules, connectives = self.rules, self.connectives
+        if type(rules) is not tuple:
+            rules = tuple(rules)
+            object.__setattr__(self, "rules", rules)
+        if type(connectives) is not tuple:
+            connectives = tuple(connectives)
+            object.__setattr__(self, "connectives", connectives)
+        if not rules:
             raise ValidationError("a specification needs at least one rule")
-        if len(self.connectives) != len(self.rules) - 1:
+        if len(connectives) != len(rules) - 1:
             raise ValidationError(
-                f"{len(self.rules)} rule(s) need {len(self.rules) - 1} connective(s), "
-                f"got {len(self.connectives)}"
+                f"{len(rules)} rule(s) need {len(rules) - 1} connective(s), "
+                f"got {len(connectives)}"
             )
 
 
@@ -259,180 +266,173 @@ def single(rule: Rule) -> Specification:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-# each match skips whitespace and reads one token; the text ends in "eof", and
-# a character that starts no token is "bad"
+# Each match skips whitespace and reads one token into one of four groups:
+# a word (a keyword, a reserved word or a unit), a number, any other token
+# (punctuation, an operator, a quoted string, or "" where the text ends), or,
+# from a character that starts no token, the rest of the text. No two kinds
+# of token can start at the same character.
 _TOKEN_RE = re.compile(
-    rf"""\s*(?:(?P<number>-?\d+(?:\.\d+)?)
-      | (?P<ident>{_KEYWORD})
-      | (?P<string>"[^"\n]*")
-      | (?P<op>==|!=|>|<)
-      | (?P<punct>[()\[\]{{}},%])
-      | (?P<eof>\Z)
-      | (?P<bad>.))
+    rf"""\s*(?:({_KEYWORD})
+      | (-?\d+(?:\.\d+)?)
+      | ([()\[\]{{}},%] | == | != | > | < | "[^"\n]*" | \Z)
+      | (.+))
     """,
     re.VERBOSE,
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # number | ident | string | op | punct | eof
-    text: str
-    pos: int
+class _Unexpected(Exception):
+    """The parser met token `i` where it expected one of `expected`."""
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = [_Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-              for m in _TOKEN_RE.finditer(text)]
-    for token in tokens:
-        if token.kind == "bad":
-            raise DslSyntaxError(f"unexpected character {token.text!r}", token.pos)
-    return tokens
+def _fail(i, expected: Iterable[str]):
+    raise _Unexpected(i, expected)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+# The parser walks the list of (word, number, other, rest) tuples that
+# `_TOKEN_RE.findall` gives by index: each function takes the index of its
+# first token and returns what it read with the index after it. The last
+# tuple is the end of the text, and no tuple before it holds a rest.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+_CONNECTIVES = {c.value: c for c in Connective}
+_COMPARISONS = {r.value: r for r in (Relation.EQ, Relation.NEQ, Relation.GT, Relation.LT)}
+_FUNCTIONAL = {
+    "use": Relation.USE,
+    "recommend": Relation.RECOMMEND,
+    "with": Relation.WITH,
+    "prefer": Relation.PREFER,
+    "format": Relation.STRING_FORMAT,
+}
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def fail(self, expected: Iterable[str]):
-        tok = self.peek()
-        found = tok.text or "end of input"
-        exp = " or ".join(sorted(expected))
-        raise DslSyntaxError(f"expected {exp}, found {found!r}", tok.pos)
+def _keyword(tokens, i) -> str:
+    word = tokens[i][0]
+    if not word or word in _KEYWORD_FORBIDDEN:
+        _fail(i, ["<keyword>"])
+    return word
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            self.fail([text if text is not None else f"<{kind}>"])
-        return self.next()
 
-    # grammar ---------------------------------------------------------
+def _specification(tokens) -> Specification:
+    rule, i = _rule(tokens, 0)
+    rules = [rule]
+    connectives = []
+    word = tokens[i][0]
+    while word == "and" or word == "or":
+        connectives.append(_CONNECTIVES[word])
+        rule, i = _rule(tokens, i + 1)
+        rules.append(rule)
+        word = tokens[i][0]
+    if i != len(tokens) - 1:
+        _fail(i, ["and", "or", "end of input"])
+    return Specification(tuple(rules), tuple(connectives))
 
-    def specification(self) -> Specification:
-        rules = [self.rule()]
-        connectives = []
-        while self.peek().kind == "ident" and self.peek().text in ("and", "or"):
-            connectives.append(Connective(self.next().text))
-            rules.append(self.rule())
-        if self.peek().kind != "eof":
-            self.fail(["and", "or", "end of input"])
-        return Specification(tuple(rules), tuple(connectives))
 
-    def rule(self) -> Rule:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORD_FORBIDDEN:
-            self.fail(["<keyword>"])
-        if tok.text in ("use", "recommend", "with", "prefer", "format"):
-            after = self.tokens[self.i + 1]
-            if after.kind == "punct" and after.text == "(":
-                return self.functional_rule()
-        return self.comparison_rule()
+def _rule(tokens, i) -> tuple[Rule, int]:
+    key = _keyword(tokens, i)
+    word, _, other, _ = tokens[i + 1]
+    if other == "(" and key in _FUNCTIONAL:
+        return _functional_rule(tokens, i)
+    if other in _COMPARISONS:
+        value, i = _value(tokens, i + 2)
+        return Rule(key, _COMPARISONS[other], (value,)), i
+    if word == "in":
+        return _interval_or_set(tokens, i + 2, key)
+    _fail(i + 1, ["==", "!=", ">", "<", "in"])
 
-    def functional_rule(self) -> Rule:
-        name = self.next().text
-        self.expect("punct", "(")
-        key = self.keyword_token()
-        if name in ("use", "recommend"):
-            self.expect("punct", ")")
-            relation = Relation.USE if name == "use" else Relation.RECOMMEND
-            return Rule(key, relation, ())
-        self.expect("punct", ",")
-        if name == "format":
-            tok = self.peek()
-            if tok.kind != "string":
-                self.fail(['"<format class>"'])
-            payload = FormatClass(self.next().text[1:-1])
-            self.expect("punct", ")")
-            return Rule(key, Relation.STRING_FORMAT, (payload,))
-        other = self.keyword_token()
-        self.expect("punct", ")")
-        relation = Relation.WITH if name == "with" else Relation.PREFER
-        return Rule(key, relation, (KeywordRef(other),))
 
-    def comparison_rule(self) -> Rule:
-        key = self.keyword_token()
-        tok = self.peek()
-        if tok.kind == "op":
-            op = self.next().text
-            value = self.value()
-            return Rule(key, Relation(op), (value,))
-        if tok.kind == "ident" and tok.text == "in":
-            self.next()
-            return self.interval_or_set(key)
-        self.fail(["==", "!=", ">", "<", "in"])
+def _functional_rule(tokens, i) -> tuple[Rule, int]:
+    relation = _FUNCTIONAL[tokens[i][0]]
+    key = _keyword(tokens, i + 2)
+    if relation is Relation.USE or relation is Relation.RECOMMEND:
+        if tokens[i + 3][2] != ")":
+            _fail(i + 3, [")"])
+        return Rule(key, relation, ()), i + 4
+    if tokens[i + 3][2] != ",":
+        _fail(i + 3, [","])
+    if relation is Relation.STRING_FORMAT:
+        other = tokens[i + 4][2]
+        if other[:1] != '"':
+            _fail(i + 4, ['"<format class>"'])
+        payload = FormatClass(other[1:-1])
+    else:
+        payload = KeywordRef(_keyword(tokens, i + 4))
+    if tokens[i + 5][2] != ")":
+        _fail(i + 5, [")"])
+    return Rule(key, relation, (payload,)), i + 6
 
-    def interval_or_set(self, key: str) -> Rule:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "[":
-            self.next()
-            lo = self.number_value()
-            self.expect("punct", ",")
-            hi = self.number_value()
-            self.expect("punct", "]")
-            return Rule(key, Relation.INTERVAL, (lo, hi))
-        if tok.kind == "punct" and tok.text == "{":
-            self.next()
-            members = [self.value()]
-            self.expect("punct", ",")
-            members.append(self.value())
-            while self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                members.append(self.value())
-            self.expect("punct", "}")
-            return Rule(key, Relation.SET_MEMBERSHIP, tuple(members))
-        self.fail(["[", "{"])
 
-    def keyword_token(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORD_FORBIDDEN:
-            self.fail(["<keyword>"])
-        return self.next().text
+def _interval_or_set(tokens, i, key: str) -> tuple[Rule, int]:
+    other = tokens[i][2]
+    if other == "[":
+        lo, i = _number(tokens, i + 1)
+        if tokens[i][2] != ",":
+            _fail(i, [","])
+        hi, i = _number(tokens, i + 1)
+        if tokens[i][2] != "]":
+            _fail(i, ["]"])
+        return Rule(key, Relation.INTERVAL, (lo, hi)), i + 1
+    if other == "{":
+        value, i = _value(tokens, i + 1)
+        members = [value]
+        if tokens[i][2] != ",":
+            _fail(i, [","])
+        while tokens[i][2] == ",":
+            value, i = _value(tokens, i + 1)
+            members.append(value)
+        if tokens[i][2] != "}":
+            _fail(i, ["}"])
+        return Rule(key, Relation.SET_MEMBERSHIP, tuple(members)), i + 1
+    _fail(i, ["[", "{"])
 
-    def value(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "number":
-            return self.number_value()
-        if tok.kind == "string":
-            return Text(self.next().text[1:-1])
-        if tok.kind == "ident":
-            if tok.text == "true":
-                self.next()
-                return Boolean(True)
-            if tok.text == "false":
-                self.next()
-                return Boolean(False)
-            if tok.text not in _KEYWORD_FORBIDDEN:
-                return KeywordRef(self.next().text)
-        self.fail(["<number>", "<string>", "true", "false", "<keyword>"])
 
-    def number_value(self) -> Number:
-        tok = self.peek()
-        if tok.kind != "number":
-            self.fail(["<number>"])
-        magnitude = float(self.next().text)
-        unit = None
-        nxt = self.peek()
-        if nxt.kind == "ident" and nxt.text not in _RESERVED:
-            unit = self.next().text
-        elif nxt.kind == "punct" and nxt.text == "%":
-            unit = self.next().text
-        return Number(magnitude, unit)
+def _value(tokens, i) -> tuple[Value, int]:
+    word, number, other, _ = tokens[i]
+    if number:
+        return _number(tokens, i)
+    if other[:1] == '"':
+        return Text(other[1:-1]), i + 1
+    if word == "true":
+        return Boolean(True), i + 1
+    if word == "false":
+        return Boolean(False), i + 1
+    if word and word not in _KEYWORD_FORBIDDEN:
+        return KeywordRef(word), i + 1
+    _fail(i, ["<number>", "<string>", "true", "false", "<keyword>"])
+
+
+def _number(tokens, i) -> tuple[Number, int]:
+    number = tokens[i][1]
+    if not number:
+        _fail(i, ["<number>"])
+    word, _, other, _ = tokens[i + 1]
+    if word and word not in _RESERVED:
+        return Number(float(number), word), i + 2
+    if other == "%":
+        return Number(float(number), other), i + 2
+    return Number(float(number)), i + 1
 
 
 def parse_spec(text: str) -> Specification:
-    """Parse one canonical-form specification line."""
-    if "\n" in text.strip():
-        raise DslSyntaxError("a specification must be a single line", text.index("\n"))
-    return _Parser(text.strip()).specification()
+    """Parse one canonical-form specification line. A `DslSyntaxError`'s
+    position indexes `text` as given, surrounding whitespace included."""
+    line = text.strip()
+    start = 0 if line is text else len(text) - len(text.lstrip())
+    if "\n" in line:
+        raise DslSyntaxError("a specification must be a single line", start + line.index("\n"))
+    end = start + len(line)
+    tokens = _TOKEN_RE.findall(text, start, end)
+    rest = tokens[-2][3] if len(tokens) > 1 else ""
+    if rest:
+        raise DslSyntaxError(f"unexpected character {rest[0]!r}", end - len(rest))
+    try:
+        return _specification(tokens)
+    except _Unexpected as exc:
+        i, expected = exc.args
+    # positions are only needed for an error, so only then are they found
+    match = next(itertools.islice(_TOKEN_RE.finditer(text, start, end), i, None))
+    found = "".join(tokens[i]) or "end of input"
+    exp = " or ".join(sorted(expected))
+    raise DslSyntaxError(f"expected {exp}, found {found!r}", match.start(match.lastindex))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +453,8 @@ def _print_value(value: Value) -> str:
     raise TypeError(f"not a value: {value!r}")
 
 
-def _print_rule(rule: Rule) -> str:
+def print_rule(rule: Rule) -> str:
+    """Canonical form of one rule, as `print_spec` prints it."""
     r = rule.relation
     if r in (Relation.EQ, Relation.NEQ, Relation.GT, Relation.LT):
         return f"{rule.keyword} {r.value} {_print_value(rule.values[0])}"
@@ -474,10 +475,10 @@ def _print_rule(rule: Rule) -> str:
 
 def print_spec(spec: Specification) -> str:
     """Render the single canonical form; inverse of :func:`parse_spec`."""
-    parts = [_print_rule(spec.rules[0])]
+    parts = [print_rule(spec.rules[0])]
     for connective, rule in zip(spec.connectives, spec.rules[1:]):
         parts.append(connective.value)
-        parts.append(_print_rule(rule))
+        parts.append(print_rule(rule))
     return " ".join(parts)
 
 

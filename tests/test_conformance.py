@@ -5,8 +5,10 @@ from operator import attrgetter
 
 import pytest
 
+import dsl_oracle
 import randspec
 
+from specsyn import conformance
 from specsyn.conformance import (
     ConfigFormat,
     ConfigMap,
@@ -85,9 +87,30 @@ class TestParseConfig:
 
     def test_bad_section_header_collected(self):
         cfg = parse_config("[]\nk=1\n", ConfigFormat.INI)
-        assert len(cfg.malformed) == 1
-        assert cfg.malformed[0].line == 1
-        assert cfg.entries["k"].value == "1"
+        assert [(m.line, m.reason) for m in cfg.malformed] == [
+            (1, "bad section header"), (2, "key under a bad section header")
+        ]
+        assert cfg.entries == {}
+
+    @pytest.mark.parametrize("header", ["[mysqld] # server", "[mysqld]; server", "[ mysqld ]\t# a ] b"])
+    def test_comment_after_a_header(self, header):
+        cfg = parse_config(f"[client]\nport=80\n{header}\nport=3306\n", ConfigFormat.INI)
+        assert [(e.key, e.value, e.line, e.earlier_lines) for e in cfg.entries.values()] == [
+            ("client.port", "80", 2, ()), ("mysqld.port", "3306", 4, ()),
+        ]
+        assert cfg.malformed == []
+
+    def test_keys_under_a_bad_header_are_malformed(self):
+        text = "[client]\nport=80\n[mysqld server\nport=3306\n9bad=1\n\n# note\n[other]\nport=1\n"
+        cfg = parse_config(text, ConfigFormat.INI)
+        assert [(e.key, e.value, e.earlier_lines) for e in cfg.entries.values()] == [
+            ("client.port", "80", ()), ("other.port", "1", ()),
+        ]
+        assert [(m.line, m.text, m.reason) for m in cfg.malformed] == [
+            (3, "[mysqld server", "bad section header"),
+            (4, "port=3306", "key under a bad section header"),
+            (5, "9bad=1", "bad key"),
+        ]
 
     def test_malformed_key_collected_and_parsing_continues(self):
         cfg = kv("9bad = 1\ngood = 2\n")
@@ -399,6 +422,20 @@ class TestCheck:
         assert "user_port" in text
         assert render_violations([]) == "no violations"
 
+    def test_render_keeps_long_cells_apart(self):
+        config = parse_config(
+            "[section_099]\nsort_rate_02764 = 12520\n[s]\npath = /var/lib/a/very/long/observed/value\n",
+            ConfigFormat.INI,
+        )
+        specs = [parse_spec("sort_rate_02764 != 12520"), parse_spec("path == 1"), parse_spec("use(x)")]
+        lines = render_violations(check(config, specs, LEX)).split("\n")
+        assert lines == [
+            "  verdict          key                          observed                             line",
+            "  ValueOutOfRange  section_099.sort_rate_02764  12520                                2",
+            "  WrongType        s.path                       /var/lib/a/very/long/observed/value  4",
+            "  AdvisoryOnly     x                            -                                    -",
+        ]
+
 
 class TestSectionOrder:
     CLIENT = "[client]\nport = 80\n"
@@ -593,3 +630,90 @@ class TestSeededProperties:
             for spec in specs:
                 reparsed = parse_spec(print_spec(spec))
                 assert check(config, [spec], LEX) == check(config, [reparsed], LEX)
+
+
+HEADERS = ("[client]", "[ Client ]", "[a.b]", "[Σ]", "[İx]", "[mysqld]")
+BAD_HEADERS = ("[]", "[x", "[x] # c", "[x] ; c", "[ ] # c", "[a]]", "[x] junk", "[a] # b ]")
+MESSY_KEYS = ("Port", "--PORT", "-port", "a.b.port", "x.", "log.Level", "ΣKEY")
+MALFORMED = ("9bad = 1", "a b = c", "= v", "@x", "key@ = v", "[x", "\"q\" = 1")
+
+
+def messy_config_text(rng: random.Random, fmt: ConfigFormat) -> str:
+    """Lines of every kind a config reader meets: spaced and bare keys,
+    duplicates, mixed case and `--` keys, comments, blanks, headers (a few
+    of them bad or commented) and malformed lines."""
+    lines, keys = [], []
+
+    def ws():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    for _ in range(rng.randint(1, 25)):
+        roll = rng.random()
+        if roll < 0.5:
+            if keys and rng.random() < 0.25:
+                key = rng.choice(keys)
+            else:
+                key = random_key(rng) if rng.random() < 0.7 else rng.choice(MESSY_KEYS)
+                keys.append(key)
+            value = rng.choice(VALUES + ("a = b", " spaced  out "))
+            form = rng.randrange(3)
+            if form == 0:
+                lines.append(f"{ws()}{key}{ws()}={ws()}{value}{ws()}")
+            elif form == 1:
+                lines.append(f"{ws()}{key} {value}")
+            else:
+                lines.append(f"{ws()}{key}{ws()}")
+        elif roll < 0.6:
+            lines.append(ws() + rng.choice(("# x = 1", "; y", "#", ";;")))
+        elif roll < 0.7:
+            lines.append(ws())
+        elif roll < 0.8:
+            lines.append(rng.choice(MALFORMED))
+        else:
+            header = rng.choice(BAD_HEADERS) if rng.random() < 0.1 else rng.choice(HEADERS)
+            lines.append(ws() + header + ws())
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def header_fix_applies(text: str) -> bool:
+    """Whether an INI header in `text` reads differently since the
+    comment and bad-header rules: commented, or bad either way."""
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if line.startswith("["):
+            old = line[1:-1].strip() if line.endswith("]") else ""
+            if not old or old != conformance._section_name(line):
+                return True
+    return False
+
+
+def read_back(config) -> tuple:
+    entries = [(e.key, e.value, e.line, e.earlier_lines) for e in config.entries.values()]
+    malformed = [(m.line, m.text, m.reason) for m in config.malformed]
+    return entries, malformed
+
+
+class TestConfigAgainstOracle:
+    """`parse_config` reads what the reader it replaced read
+    (`tests/dsl_oracle.py`), except where the header rules changed."""
+
+    @pytest.mark.parametrize("fmt", list(ConfigFormat))
+    def test_random_texts(self, fmt):
+        rng = random.Random(31 if fmt is ConfigFormat.INI else 32)
+        compared = probes = 0
+        for _ in range(600):
+            text = messy_config_text(rng, fmt)
+            if fmt is ConfigFormat.INI and header_fix_applies(text):
+                continue
+            got, expected = parse_config(text, fmt), dsl_oracle.parse_config(text, fmt)
+            assert read_back(got) == read_back(expected), text
+            names = {"absent", ""}
+            for key in got.entries:
+                lowered = key.lower()
+                names.update((key, key.upper(), "--" + key, lowered.lstrip("-")))
+                names.update(lowered[i + 1:] for i, c in enumerate(lowered) if c == ".")
+            for name in names:
+                assert got.lookup(name) == expected.lookup(name), (text, name)
+            compared += 1
+            probes += len(names)
+        assert compared > 400 and probes > 10 * compared

@@ -24,6 +24,7 @@ from specsyn.dsl import (
 )
 from specsyn.files import InputError
 
+import dsl_oracle
 import randspec
 
 
@@ -161,9 +162,20 @@ class TestSyntaxErrors:
             parse_spec(text)
 
     def test_error_carries_position(self):
-        with pytest.raises(DslSyntaxError) as err:
-            parse_spec("user_port >")
-        assert err.value.position == len("user_port >")
+        cases = [
+            ("user_port >", len("user_port >")),
+            # positions index the text as given, surrounding whitespace and all
+            ("   user_port >", len("   user_port >")),
+            ("   user_port >  ", len("   user_port >")),
+            ("\t x ~ 5", 4),
+            ("  x == 1 @", 9),
+            ("  x == 1\ny == 2", 8),
+            ("\n x == 1\ny == 2", 8),
+        ]
+        for text, position in cases:
+            with pytest.raises(DslSyntaxError) as err:
+                parse_spec(text)
+            assert err.value.position == position, text
 
     def test_multiline_rejected(self):
         with pytest.raises(DslSyntaxError):
@@ -190,14 +202,16 @@ class TestConstructionErrors:
             Rule("x", Relation.INTERVAL, (Number(1),))
 
     def test_value_kinds_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^GT requires numeric values, got Boolean\(flag=True\)$"):
             Rule("x", Relation.GT, (Boolean(True),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^WITH requires a keyword-valued payload$"):
             Rule("x", Relation.WITH, (Number(5),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^STRING_FORMAT requires a format-class payload$"):
             Rule("x", Relation.STRING_FORMAT, (Text("absolute path"),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^EQ does not accept FormatClass values$"):
             Rule("x", Relation.EQ, (FormatClass("url"),))
+        with pytest.raises(ValidationError, match="^SET_MEMBERSHIP does not accept FormatClass values$"):
+            Rule("x", Relation.SET_MEMBERSHIP, [Number(1), FormatClass("url")])
 
     def test_interval_order(self):
         with pytest.raises(IntervalOrderError):
@@ -233,6 +247,23 @@ class TestConstructionErrors:
             Number(5, unit="two words")
         with pytest.raises(ValidationError):
             Number(5, unit="and")
+
+    def test_number_accepts_what_prints_without_exponent(self):
+        """The whole-below-1e16 shortcut accepts exactly the magnitudes that
+        `format_number` prints without an exponent."""
+        rng = random.Random(5)
+        edges = [0.0, -0.0, 1e15, 1e16 - 2, 1e16, -1e16, 1e16 + 2, 9007199254740993,
+                 0.1, 1e-4, 1e-5, 123456789.125, 1e15 + 0.5, 2.0**53, 1e21, 1e22, -1e22]
+        randoms = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 25) for _ in range(2000)]
+        whole = [float(rng.randint(-10**17, 10**17)) for _ in range(2000)]
+        for m in edges + randoms + whole:
+            printable = "e" not in dsl.format_number(m)
+            try:
+                Number(m)
+            except ValidationError:
+                assert not printable, m
+            else:
+                assert printable, m
 
     def test_specification_shape(self):
         with pytest.raises(ValidationError):
@@ -312,3 +343,94 @@ class TestRoundTrip:
     def test_printed_form_is_single_line(self):
         for spec in randspec.specification_batch(seed=3, count=100):
             assert "\n" not in print_spec(spec)
+
+
+# tokens a mutation inserts: every piece of the grammar, magnitudes that need
+# an exponent or overflow, an empty string and units outside the unit grammar
+INSERTS = [
+    "and", "or", "in", "true", "false", "use", "with", "prefer", "format", "recommend",
+    "(", ")", "[", "]", "{", "}", ",", "%", "==", "!=", ">", "<", "-",
+    "7", "-3", "2.5", "1" + "0" * 20, "9" * 400, "0.00001", '"url"', '""', '"x y"',
+    "ms", "gb", "user_port", "--ssl-mode", "log.level", "m.s", "k-b", "-ms", "--x",
+]
+BAD_CHARS = "@#$^&*~`'\\|?;:!=é\u00a0"
+
+
+def mutations(rng: random.Random, text: str) -> list[str]:
+    """Lines near `text`: a token deleted, inserted or two swapped, a
+    character that starts no token, and a unit in capitals or with a dot
+    or dash in it."""
+    tokens = [tok.text for tok in dsl_oracle._tokenize(text)][:-1]
+
+    def join(parts):
+        return "".join(part + rng.choice(("", " ", " ", "  ")) for part in parts).strip()
+
+    out = []
+    cut = tokens[:]
+    del cut[rng.randrange(len(cut))]
+    out.append(join(cut))
+    grown = tokens[:]
+    grown.insert(rng.randint(0, len(grown)), rng.choice(INSERTS + tokens))
+    out.append(join(grown))
+    swapped = tokens[:]
+    i, j = rng.randrange(len(swapped)), rng.randrange(len(swapped))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(join(swapped))
+    at = rng.randint(0, len(text))
+    out.append(text[:at] + rng.choice(BAD_CHARS) + text[at:])
+    units = [k for k in range(1, len(tokens)) if tokens[k - 1][0].isdigit() and tokens[k][0].isalpha()]
+    if units:
+        k = rng.choice(units)
+        unit = tokens[k]
+        tokens[k] = unit.upper()
+        out.append(" ".join(tokens))
+        cut_at = rng.randint(0, len(unit))
+        tokens[k] = unit[:cut_at] + rng.choice(".-") + unit[cut_at:]
+        out.append(" ".join(tokens))
+    return out
+
+
+def outcome(parse, text):
+    """The specification, or the exception's class and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # every failure is compared, not only DslError
+        return type(exc), str(exc)
+
+
+class TestAgainstOracle:
+    """`parse_spec` gives, line by line, what the parser it replaced gives
+    (`tests/dsl_oracle.py`)."""
+
+    def lines(self, seed, count):
+        rng = random.Random(seed)
+        for spec in randspec.specification_batch(seed=seed, count=count):
+            text = print_spec(spec)
+            yield text
+            yield from mutations(rng, text)
+
+    def test_random_and_mutated_lines(self):
+        failures = 0
+        seen = 0
+        for text in self.lines(seed=11, count=600):
+            expected = outcome(dsl_oracle.parse_spec, text)
+            assert outcome(parse_spec, text) == expected, text
+            seen += 1
+            failures += isinstance(expected, tuple)
+        # both sides of the grammar get exercised
+        assert seen > 3000 and 0.4 < failures / seen < 0.9
+
+    def test_padding_shifts_positions_only(self):
+        rng = random.Random(12)
+        for text in self.lines(seed=12, count=200):
+            pad = rng.choice(("", " ", "\t ", "   "))
+            expected = outcome(dsl_oracle.parse_spec, text)
+            got = outcome(parse_spec, pad + text + rng.choice(("", " ", "\t")))
+            if isinstance(expected, tuple) and expected[0] is DslSyntaxError:
+                with pytest.raises(DslSyntaxError) as err:
+                    dsl_oracle.parse_spec(text)
+                position = err.value.position
+                shifted = expected[1].replace(f"at position {position}:", f"at position {position + len(pad)}:", 1)
+                assert got == (DslSyntaxError, shifted), text
+            else:
+                assert got == expected, text
