@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import logging
 import sys
@@ -227,7 +228,10 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: `parse_args` gives every call a
+    fresh namespace."""
     parser = _Parser(prog="specsyn", description=__doc__.splitlines()[0])
     parser.add_argument(
         "-v", "--verbose", action="count", default=0,

@@ -131,12 +131,13 @@ class ConfigMap:
 
 
 def _section_name(line: str) -> str:
-    """The name in a `[name]` header line, which may end in a `#` or `;`
-    comment; empty when the header is malformed."""
+    """The name in a `[name]` header line, with no `]` inside the name,
+    which may end in a `#` or `;` comment; empty when the header is
+    malformed."""
     close = line.find("]")
-    if line[close + 1:].lstrip()[:1] in ("#", ";"):
-        return line[1:close].strip()
-    return line[1:-1].strip() if line.endswith("]") else ""
+    if close < 0 or line[close + 1:].lstrip()[:1] not in ("", "#", ";"):
+        return ""
+    return line[1:close].strip()
 
 
 def parse_config(text: str, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> ConfigMap:

@@ -200,13 +200,17 @@ class Inference:
 
 def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     """Detect, then generate and detag, for each (text, tags) item: the one
-    inference path that `evaluate` and `synthesize` share. Texts of one token
-    length are encoded together and flagged rows decoded together (see
-    `Model.encode_groups` and `Model.generate_batch`). Every text must fit
-    the model's max_len with [CLS]; `check_lengths` names the first that
-    does not."""
+    inference path that `evaluate` and `synthesize` share. It runs on a
+    float32 copy of the model, which leaves the caller's parameters as they
+    are. Texts of similar token length are encoded together and flagged rows
+    decoded together (see `Model.encode_groups` and `Model.generate_batch`).
+    Every text must fit the model's max_len with [CLS]; `check_lengths`
+    names the first that does not."""
     sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
     check_lengths(map(len, sequences), model.config.max_len)
+    # a float32-trained model casts to float32 exactly, and the encoder's
+    # elementwise kernels run several times as fast in it as in float64
+    model = model.cast(np.float32)
     flagged, pooled = [], []
     for rows, h_c in model.encode_groups(sequences):
         for row, h, probs in zip(rows, h_c, model.detect(h_c)):

@@ -7,15 +7,16 @@ category decoder, and an LSTM that generates the tagged specification
 token sequence. Since only the [CLS] row leaves the last block, that block
 computes its query, attention output and FFN for the [CLS] row alone, in
 the forward and the backward pass; its keys and values cover every position.
-Inference encodes texts of one token length together, so no row is padded,
-keeps no backward cache, and decodes flagged rows in small batches
+Inference sorts texts by token length and encodes consecutive ones
+together, padding each to the longest of its call and masking the padded
+keys; it keeps no backward cache, and decodes flagged rows in small batches
 (`encode_groups`, `generate_batch`).
 
 Every parameter lives in a flat name -> array mapping and every gradient
 is derived by hand, so the complete network can be checked against central
-finite differences. The network computes in the dtype of its parameters:
-training runs in float32, while gradient checks, checkpoints and inference
-use float64.
+finite differences. The network computes in the dtype of its parameters
+(`Model.cast` makes a copy in another): training and inference run in
+float32, while gradient checks and checkpoints use float64.
 """
 
 import math
@@ -56,13 +57,14 @@ CATEGORY_HIDDEN = 50
 GENERATOR_HIDDEN = 20
 # greedy decoding stops after this many tokens without [EOS]
 GENERATE_MAX_TOKENS = 24
-# Inference batches: an encoder call holds rows of one length and at most
-# this many tokens in all (one row at least); greedy decoding runs this many
-# rows at once. Both come from a sweep of in-process `eval` over 1,000
-# protocol samples (BENCH_inferbatch.json): 128 to 384 tokens ran about 1.2x
-# as fast as 64, and 192 tokens with 16 rows was the fastest point with no
-# minor page faults per call. From 256 tokens up calls began to fault, and
-# from 512 up each took 26k-44k faults and ran slower again.
+# Inference batches: an encoder call holds at most this many token slots,
+# rows x the longest row, padding included (one row at least); greedy
+# decoding runs this many rows at once. From a float32 sweep of in-process
+# `eval` over 1,000 protocol samples, in fresh processes and in bench-like
+# rounds (BENCH_f32infer.json): 128 tokens ran about 1.2x slower than 192,
+# 192 to 384 tokens and 16 to 64 rows were within noise of each other, and
+# 192 tokens with 16 rows took no minor page faults per call in a fresh
+# process and settled at none per `eval` call in repeated rounds.
 ENCODE_TOKEN_BUDGET = 192
 DECODE_ROWS = 16
 # never generated: the control tokens other than [EOS], and every tag token
@@ -323,6 +325,10 @@ class Model:
     def initialize(cls, config: ModelConfig, vocab: Vocab, rng_seed: int = 0) -> "Model":
         rng = np.random.default_rng(rng_seed)
         return cls(config, vocab, _init_params(config, len(vocab), rng))
+
+    def cast(self, dtype) -> "Model":
+        """A copy of the model whose parameters are cast to `dtype`."""
+        return Model(self.config, self.vocab, {k: v.astype(dtype) for k, v in self.params.items()})
 
     # ------------------------------------------------------------------ encoder
 
@@ -624,20 +630,27 @@ class Model:
         return self._head_probs("category", h_c)
 
     def encode_groups(self, sequences):
-        """Pooled vectors of id sequences that start with [CLS], grouped by
-        length so that no row is padded. Yields (indices into `sequences`,
-        h_c of shape (len(indices), d)) per encoder call, each call at most
-        ENCODE_TOKEN_BUDGET tokens, or one row longer than that."""
-        by_length: dict[int, list[int]] = {}
-        for i, ids in enumerate(sequences):
-            by_length.setdefault(len(ids), []).append(i)
-        for length, members in sorted(by_length.items()):
-            step = max(1, ENCODE_TOKEN_BUDGET // length)
-            for start in range(0, len(members), step):
-                rows = members[start:start + step]
-                ids = np.array([sequences[i] for i in rows], dtype=np.int64)
-                mask = np.ones(ids.shape, dtype=bool)
-                yield rows, self._encode_batch(ids, mask, keep_cache=False)[0]
+        """Pooled vectors of id sequences that start with [CLS]. The sequences
+        are sorted, stably, by length and consecutive ones share an encoder
+        call while rows x the longest length stays within ENCODE_TOKEN_BUDGET
+        (one row at least); shorter rows are padded with PAD_ID and their keys
+        masked. Yields (indices into `sequences`, h_c of shape
+        (len(indices), d)) per call."""
+        lengths = [len(ids) for ids in sequences]
+        order = sorted(range(len(sequences)), key=lengths.__getitem__)
+        start = 0
+        while start < len(order):
+            end = start + 1
+            while end < len(order) and (end + 1 - start) * lengths[order[end]] <= ENCODE_TOKEN_BUDGET:
+                end += 1
+            rows = order[start:end]
+            start = end
+            width = lengths[rows[-1]]
+            ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
+            for row, i in enumerate(rows):
+                ids[row, :lengths[i]] = sequences[i]
+            mask = np.arange(width) < np.array([lengths[i] for i in rows])[:, None]
+            yield rows, self._encode_batch(ids, mask, keep_cache=False)[0]
 
     def generate(self, h_c, tags) -> GenerationResult:
         """Greedy decode of one pooled vector; see `generate_batch`."""

@@ -153,8 +153,7 @@ def train(
 
     model = Model.initialize(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
-    )
-    model.params = {k: v.astype(np.float32) for k, v in model.params.items()}
+    ).cast(np.float32)
     optimizer = Adam(model.params, config.lr)
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
@@ -171,5 +170,4 @@ def train(
             for key in sums:
                 sums[key] += losses[key] * len(chosen)
         loss_log.append(EpochLoss(**{k: v / n for k, v in sums.items()}))
-    model.params = {k: v.astype(np.float64) for k, v in model.params.items()}
-    return TrainResult(model=model, loss_log=loss_log)
+    return TrainResult(model=model.cast(np.float64), loss_log=loss_log)

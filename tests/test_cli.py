@@ -88,6 +88,44 @@ class TestArguments:
         assert "Traceback" not in proc.stderr
 
 
+    def test_consecutive_calls_parse_independently(self, tmp_path, caplog, capsys):
+        config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=32)
+        save_checkpoint(Model.initialize(config, Vocab(reserved_tokens())), tmp_path / "m.spsy")
+        (tmp_path / "doc.txt").write_text(DOC, encoding="utf-8")
+        (tmp_path / "kw.txt").write_text(KEYWORDS, encoding="utf-8")
+        (tmp_path / "rules.spec").write_text("port > 1500\n", encoding="utf-8")
+        (tmp_path / "my.cnf").write_text("[mysqld]\nport = 1433\n", encoding="utf-8")
+        synthesize = ["synthesize", "--model", str(tmp_path / "m.spsy"),
+                      "--input", str(tmp_path / "doc.txt"), "--keywords", str(tmp_path / "kw.txt"),
+                      "--out", str(tmp_path / "specs.spec")]
+        check = ["check", "--specs", str(tmp_path / "rules.spec"),
+                 "--config", str(tmp_path / "my.cnf")]
+
+        def settings():
+            return json.loads((tmp_path / "synthesize.config.json").read_text())["settings"]
+
+        def malformed():
+            found = [r for r in caplog.records if "malformed" in r.getMessage()]
+            caplog.clear()
+            return len(found)
+
+        assert cli.main([*synthesize, "--format", "html", "--window", "5"]) == 0
+        assert (settings()["format"], settings()["window"]) == ("html", 5)
+        # the key-value default reads the header as a malformed line
+        assert cli.main(check) == 1 and malformed() == 1
+        assert cli.main([*check, "--format", "ini"]) == 1 and malformed() == 0
+        assert cli.main(check) == 1 and malformed() == 1
+        assert cli.main(synthesize) == 0
+        assert (settings()["format"], settings()["window"]) == ("plain", 3)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*check, "--format", "yaml"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specsyn: error: argument --format") and err.count("\n") == 1
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestIngest:
     def test_writes_candidates_and_config(self, tmp_path):
         (tmp_path / "doc.txt").write_text(DOC, encoding="utf-8")

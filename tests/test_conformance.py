@@ -100,6 +100,15 @@ class TestParseConfig:
         ]
         assert cfg.malformed == []
 
+    @pytest.mark.parametrize("header", ["[a] x]", "[b]]", "[a]] # c", "[a] ]"])
+    def test_a_closing_bracket_inside_a_header_is_a_bad_header(self, header):
+        cfg = parse_config(f"[client]\nport=80\n{header}\nport=1\n", ConfigFormat.INI)
+        assert [(e.key, e.value) for e in cfg.entries.values()] == [("client.port", "80")]
+        assert [(m.line, m.text, m.reason) for m in cfg.malformed] == [
+            (3, header, "bad section header"),
+            (4, "port=1", "key under a bad section header"),
+        ]
+
     def test_keys_under_a_bad_header_are_malformed(self):
         text = "[client]\nport=80\n[mysqld server\nport=3306\n9bad=1\n\n# note\n[other]\nport=1\n"
         cfg = parse_config(text, ConfigFormat.INI)
@@ -701,7 +710,7 @@ class TestConfigAgainstOracle:
     def test_random_texts(self, fmt):
         rng = random.Random(31 if fmt is ConfigFormat.INI else 32)
         compared = probes = 0
-        for _ in range(600):
+        for _ in range(650):
             text = messy_config_text(rng, fmt)
             if fmt is ConfigFormat.INI and header_fix_applies(text):
                 continue

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
-from specsyn.model import EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
+from specsyn.model import CLS_ID, EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
 from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
 from specsyn.tagger import TagClass, load_lexicons
 
@@ -490,16 +489,27 @@ class TestInferBatch:
         assert len(calls) == -(-len(items) // (ENCODE_TOKEN_BUDGET // 9)) > 1
         self.assert_matches_oracle(model, items)
 
-    def test_every_encoder_call_is_one_length_within_the_budget(self, trained, monkeypatch):
+    def test_encoder_calls_take_rows_in_length_order_within_the_budget(self, trained, monkeypatch):
         model, _ = trained
         items = random_items(random.Random(3), 200, max_words=model.config.max_len - 1)
+        sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
         calls = encoder_calls(monkeypatch)
-        eval_module.infer_batch(model, items)
-        assert sum(ids.shape[0] for ids, _ in calls) == len(items)
-        assert len(calls) < len(items)
-        for ids, mask in calls:
-            assert mask.all() and (ids != PAD_ID).all()  # no padding
-            assert ids.size <= ENCODE_TOKEN_BUDGET
+        groups = [rows for rows, _ in model.encode_groups(sequences)]
+        assert len(groups) == len(calls) < len(items)
+        # every row once, in a stable sort by length
+        assert [i for rows in groups for i in rows] == sorted(
+            range(len(items)), key=lambda i: len(sequences[i]))
+        for n, (rows, (ids, mask)) in enumerate(zip(groups, calls)):
+            lengths = [len(sequences[i]) for i in rows]
+            assert ids.shape == (len(rows), max(lengths))
+            assert ids.size <= ENCODE_TOKEN_BUDGET or len(rows) == 1
+            for row, (i, length) in enumerate(zip(rows, lengths)):
+                assert ids[row, :length].tolist() == sequences[i] and mask[row, :length].all()
+                assert (ids[row, length:] == PAD_ID).all() and not mask[row, length:].any()
+            # padded exactly when the lengths differ
+            assert mask.all() == (min(lengths) == max(lengths))
+            if n + 1 < len(groups):  # the next row would not have fitted
+                assert (len(rows) + 1) * len(sequences[groups[n + 1][0]]) > ENCODE_TOKEN_BUDGET
 
     def test_results_do_not_depend_on_batch_sizes(self, trained, monkeypatch):
         model, samples = trained
@@ -507,8 +517,6 @@ class TestInferBatch:
         want = [infer_oracle.infer(model, text, tags) for text, tags in items]
         flagged = sum(w.flagged for w in want)
         assert 1 < flagged < 300
-        # texts per sequence length, [CLS] included
-        groups = Counter(1 + len(model.vocab.encode(text)) for text, _ in items)
         calls = encoder_calls(monkeypatch)
         decoded = []  # rows per decode batch
         real_decode = Model._decode
@@ -525,10 +533,65 @@ class TestInferBatch:
                 calls.clear()
                 decoded.clear()
                 self.assert_matches_oracle(model, items, want)
-                assert len(calls) == sum(
-                    -(-n // max(1, budget // length)) for length, n in groups.items())
+                assert sum(ids.shape[0] for ids, _ in calls) == len(items)
+                assert all(ids.size <= budget or ids.shape[0] == 1 for ids, _ in calls)
+                if budget == 1:
+                    assert len(calls) == len(items)
+                elif budget == 10_000:  # every row fits one call
+                    assert len(calls) == 1
                 assert decoded == ([1] * flagged if rows == 1 else [flagged])
-        assert len(groups) < len(items)  # 10,000 tokens: one call per length
+
+    def test_caller_model_stays_float64_and_unchanged(self, trained, monkeypatch):
+        model, samples = trained
+        before = {name: tensor.copy() for name, tensor in model.params.items()}
+        dtypes = []
+        real = Model._encode_batch
+
+        def encode_batch(self, ids, mask, **kwargs):
+            dtypes.append(self.params["embed/tokens"].dtype)
+            return real(self, ids, mask, **kwargs)
+
+        monkeypatch.setattr(Model, "_encode_batch", encode_batch)
+        items = [(s.text, s.tags) for s in samples] + random_items(random.Random(15), 50)
+        assert any(r.flagged for r in eval_module.infer_batch(model, items))
+        assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+        assert model.params.keys() == before.keys()
+        for name, tensor in model.params.items():
+            assert tensor.dtype == np.float64 and np.array_equal(tensor, before[name]), name
+
+    def test_float32_inference_agrees_with_float64(self, trained):
+        model, samples = trained
+        narrow = model.cast(np.float32)
+        items = [(s.text, s.tags) for s in samples] + random_items(random.Random(17), 300)
+        sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
+
+        def pooled(m):
+            h = np.zeros((len(items), m.config.d_model), dtype=m.params["pool/w1"].dtype)
+            for rows, h_c in m.encode_groups(sequences):
+                h[rows] = h_c
+            return h
+
+        wide_h, narrow_h = pooled(model), pooled(narrow)
+        assert wide_h.dtype == np.float64 and narrow_h.dtype == np.float32
+        assert np.abs(narrow_h - wide_h).max() < 1e-5
+        wide_p, narrow_p = model.detect(wide_h), narrow.detect(narrow_h)
+        flags = wide_p[:, 1] > wide_p[:, 0]
+        assert (flags == (narrow_p[:, 1] > narrow_p[:, 0])).all()
+        assert 1 < flags.sum() < len(items)
+        tag_maps = [tags for (_, tags), flag in zip(items, flags) if flag]
+        assert (model.generate_batch(wide_h[flags], tag_maps)
+                == narrow.generate_batch(narrow_h[flags], tag_maps))
+
+    def test_cast_widens_a_float32_trained_model_exactly(self, trained):
+        model = trained[0]
+        narrow = model.cast(np.float32)
+        wide = narrow.cast(np.float64)
+        assert (narrow.config, narrow.vocab) == (model.config, model.vocab)
+        for name, tensor in model.params.items():
+            assert narrow.params[name].dtype == np.float32
+            assert wide.params[name].dtype == np.float64
+            assert np.array_equal(wide.params[name], tensor), name
+            assert not np.shares_memory(wide.params[name], tensor)
 
     def test_all_negative_and_empty(self, trained, monkeypatch):
         model = copy_model(trained[0])
