@@ -10,7 +10,9 @@ the forward and the backward pass; its keys and values cover every position.
 Inference sorts texts by token length and encodes consecutive ones
 together, padding each to the longest of its call and masking the padded
 keys; it keeps no backward cache, and decodes flagged rows in small batches
-(`encode_groups`, `generate_batch`).
+(`encode_groups`, `generate_batch`). The encoder's weight products run as
+one 2-D GEMM per call (`_dot`), and each embedding gradient is one flat
+scatter (`_scatter_rows`).
 
 Every parameter lives in a flat name -> array mapping and every gradient
 is derived by hand, so the complete network can be checked against central
@@ -202,12 +204,20 @@ def _gelu_grad(x, t):
     return u
 
 
+def _mean(x):
+    """x.mean(axis=-1, keepdims=True), bit for bit, without the Python
+    wrapper of `ndarray.mean`. `mean` divides a float32 sum in float64 and
+    rounds the quotient to float32, which gives the correctly rounded
+    float32 quotient that dividing in float32 gives."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x, scale, shift):
     """xhat * scale + shift with xhat = (x - mean) / sqrt(var + eps);
     returns it and the cache (xhat, 1 / sqrt(var + eps))."""
-    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    xhat = np.subtract(x, _mean(x))
     y = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + _LN_EPS)
+    inv = 1.0 / np.sqrt(_mean(y) + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, scale, out=y)
     y += shift
@@ -223,9 +233,9 @@ def _layer_norm_grad(dy, cache, scale, grads, prefix):
     _acc(grads, prefix + "/scale", tmp.sum(axis=axes))
     _acc(grads, prefix + "/shift", dy.sum(axis=axes))
     dx = np.multiply(dy, scale)
-    mean1 = dx.mean(axis=-1, keepdims=True)
+    mean1 = _mean(dx)
     np.multiply(dx, xhat, out=tmp)
-    mean2 = tmp.mean(axis=-1, keepdims=True)
+    mean2 = _mean(tmp)
     dx -= mean1
     np.multiply(xhat, mean2, out=tmp)
     dx -= tmp
@@ -253,6 +263,32 @@ def _merge_heads(x):
 def _matgrad(x, dy):
     """Weight gradient for y = x @ w summed over all leading axes."""
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def _dot(x, w):
+    """x @ w for x of shape (B, L, n) and a weight w (n, m) or its transpose.
+
+    With L >= 2 this is one 2-D GEMM, (B * L, n) @ (n, m). numpy's stacked
+    product runs a slow loop when w is a transposed view, as in every
+    backward product; for a C-ordered w the 2-D GEMM gives the stacked
+    product's bits, so forward outputs stay the same. A one-row input
+    (L = 1: the last block's [CLS] row) keeps the stacked product, whose
+    bits differ there from the 2-D GEMM's.
+    """
+    b, length, n = x.shape
+    if length < 2:
+        return x @ w
+    return (x.reshape(b * length, n) @ w).reshape(b, length, w.shape[1])
+
+
+def _scatter_rows(table, ids, rows):
+    """np.add.at(table, ids, rows), bit for bit, for a C-contiguous (V, d)
+    table, ids of any shape and rows of shape ids.shape + (d,): one flat
+    add.at of one index per element, which adds to each cell in the same
+    order and is several times faster than the row-wise one."""
+    d = table.shape[1]
+    flat = ids.reshape(-1, 1) * d + np.arange(d)
+    np.add.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
 def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple]:
@@ -356,21 +392,21 @@ class Model:
             # full slice that earlier blocks take is a view, not a copy.
             rows = slice(0, 1) if i == cfg.blocks - 1 else slice(None)
             a, ln1 = _layer_norm(h, p[f"{blk}/ln1/scale"], p[f"{blk}/ln1/shift"])
-            qh = _split_heads(a[:, rows] @ p[f"{blk}/attn/wq"], cfg.heads)
-            kh = _split_heads(a @ p[f"{blk}/attn/wk"], cfg.heads)
-            vh = _split_heads(a @ p[f"{blk}/attn/wv"], cfg.heads)
+            qh = _split_heads(_dot(a[:, rows], p[f"{blk}/attn/wq"]), cfg.heads)
+            kh = _split_heads(_dot(a, p[f"{blk}/attn/wk"]), cfg.heads)
+            vh = _split_heads(_dot(a, p[f"{blk}/attn/wv"]), cfg.heads)
             scores = qh @ kh.transpose(0, 1, 3, 2)
             scores *= scale
             scores += key_bias
             att = _softmax(scores)
             ctx = _merge_heads(att @ vh)
-            h1 = ctx @ p[f"{blk}/attn/wo"]
+            h1 = _dot(ctx, p[f"{blk}/attn/wo"])
             h1 += h[:, rows]
             f, ln2 = _layer_norm(h1, p[f"{blk}/ln2/scale"], p[f"{blk}/ln2/shift"])
-            u = f @ p[f"{blk}/ffn/w1"]
+            u = _dot(f, p[f"{blk}/ffn/w1"])
             u += p[f"{blk}/ffn/b1"]
             r, gelu_t = _gelu(u)
-            h = r @ p[f"{blk}/ffn/w2"]
+            h = _dot(r, p[f"{blk}/ffn/w2"])
             h += h1
             h += p[f"{blk}/ffn/b2"]
             if keep_cache:
@@ -397,16 +433,16 @@ class Model:
 
             _acc(grads, f"{blk}/ffn/w2", _matgrad(r, dh))
             _acc(grads, f"{blk}/ffn/b2", dh.sum(axis=(0, 1)))
-            du = dh @ p[f"{blk}/ffn/w2"].T
+            du = _dot(dh, p[f"{blk}/ffn/w2"].T)
             du *= _gelu_grad(u, gelu_t)
             _acc(grads, f"{blk}/ffn/w1", _matgrad(f, du))
             _acc(grads, f"{blk}/ffn/b1", du.sum(axis=(0, 1)))
-            df = du @ p[f"{blk}/ffn/w1"].T
+            df = _dot(du, p[f"{blk}/ffn/w1"].T)
             dh1 = _layer_norm_grad(df, ln2, p[f"{blk}/ln2/scale"], grads, f"{blk}/ln2")
             dh1 += dh
 
             _acc(grads, f"{blk}/attn/wo", _matgrad(ctx, dh1))
-            dctx = _split_heads(dh1 @ p[f"{blk}/attn/wo"].T, cfg.heads)
+            dctx = _split_heads(_dot(dh1, p[f"{blk}/attn/wo"].T), cfg.heads)
             dvh = att.transpose(0, 1, 3, 2) @ dctx
             # the gradient of att, turned into that of the scores in place
             ds = dctx @ vh.transpose(0, 1, 3, 2)
@@ -422,9 +458,9 @@ class Model:
             _acc(grads, f"{blk}/attn/wv", _matgrad(a, dv))
             # the query and the residual reach only `rows`; the terms add in
             # the order dq, dk, dv, as for a block that computes every row
-            da = dk @ p[f"{blk}/attn/wk"].T
-            da[:, rows] += dq @ p[f"{blk}/attn/wq"].T
-            da += dv @ p[f"{blk}/attn/wv"].T
+            da = _dot(dk, p[f"{blk}/attn/wk"].T)
+            da[:, rows] += _dot(dq, p[f"{blk}/attn/wq"].T)
+            da += _dot(dv, p[f"{blk}/attn/wv"].T)
             dh = _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1")
             dh[:, rows] += dh1
 
@@ -432,7 +468,7 @@ class Model:
             if name not in grads:  # the generator has usually made embed/tokens
                 grads[name] = np.zeros_like(p[name])
         grads["embed/positions"][:length] += dh.sum(axis=0)
-        np.add.at(grads["embed/tokens"], ids.reshape(-1), dh.reshape(-1, cfg.d_model))
+        _scatter_rows(grads["embed/tokens"], ids, dh)
 
     # ------------------------------------------------------------------ heads
 
@@ -505,7 +541,7 @@ class Model:
         factor = 1.0 / n_tok if n_tok else 0.0
         dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN), dtype=h_c.dtype)
         dc_next = np.zeros_like(dh_next)
-        d_embed = grads.setdefault("embed/tokens", np.zeros_like(p["embed/tokens"]))
+        d_inputs = []  # each step's input-embedding gradient, last step first
         for t in reversed(range(gen_in.shape[1])):
             x, h_prev, c_prev, (i, f, z, o, tc), dlogits, h = steps[t]
             dlogits *= factor
@@ -528,8 +564,10 @@ class Model:
             _acc(grads, "generator/wx", x.T @ dgates)
             _acc(grads, "generator/wh", h_prev.T @ dgates)
             _acc(grads, "generator/b", dgates.sum(axis=0))
-            np.add.at(d_embed, gen_in[:, t], dgates @ p["generator/wx"].T)
+            d_inputs.append(dgates @ p["generator/wx"].T)
             dh_next = dgates @ p["generator/wh"].T
+        d_embed = grads.setdefault("embed/tokens", np.zeros_like(p["embed/tokens"]))
+        _scatter_rows(d_embed, gen_in[:, ::-1].T, np.stack(d_inputs))
         dh0 = dh_next * (1.0 - h0 * h0) + dc_next
         _acc(grads, "generator/h0", h_c.T @ dh0)
         return dh0 @ p["generator/h0"].T

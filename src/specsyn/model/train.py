@@ -10,6 +10,13 @@ batches that span two lengths. The network's elementwise kernels (GELU,
 LayerNorm, softmax and the encoder's adds) work in place, in the order
 their formulas state, so they allocate few temporaries and give the same
 bits as the plain expressions.
+
+A step makes few, large numpy calls: the encoder's weight products are
+2-D GEMMs (`network._dot`), each embedding gradient is one flat scatter
+(`network._scatter_rows`), and `Adam` updates one flat buffer that the
+model's parameters are views of. Only the backward products, by
+transposed weights, may round differently from the stacked products they
+replaced; every forward pass and every Adam update keeps its bits.
 """
 
 import math
@@ -63,27 +70,64 @@ class TrainResult:
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# Adam.step updates at most this many elements per pass of its kernels
+ADAM_CHUNK = 65536
 
 
 class Adam:
-    def __init__(self, params, lr):
-        self.lr = lr
-        self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    """Adam over every parameter at once.
 
-    def step(self, params, grads):
+    The parameters, both moments and the gradients live in flat buffers;
+    the constructor copies the parameters in and makes each `params[name]`
+    a view of its slot, so a model's `params` train in place. `step` runs
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+
+    over ADAM_CHUNK elements at a time, in the operation order of that
+    formula per tensor, so its results are bit for bit the per-tensor ones.
+    """
+
+    def __init__(self, params, lr):
+        self.lr = float(lr)
+        self.t = 0
+        self.names = list(params)
+        self.params = np.concatenate([params[name].reshape(-1) for name in self.names])
+        self.grads = np.empty_like(self.params)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        scratch = min(self.params.size, ADAM_CHUNK)
+        self._scratch = (np.empty(scratch, self.params.dtype), np.empty(scratch, self.params.dtype))
+        start = 0
+        for name in self.names:
+            size = params[name].size
+            params[name] = self.params[start : start + size].reshape(params[name].shape)
+            start += size
+
+    def step(self, grads):
+        """One update from `grads`, which holds a gradient for every parameter."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for name, grad in grads.items():
-            m = self.m[name]
-            v = self.v[name]
+        np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.grads)
+        for start in range(0, self.params.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            p, g, m, v = self.params[chunk], self.grads[chunk], self.m[chunk], self.v[chunk]
+            a, b = (s[: p.size] for s in self._scratch)
             m *= BETA1
-            m += (1.0 - BETA1) * grad
+            np.multiply(g, 1.0 - BETA1, out=a)
+            m += a
             v *= BETA2
-            v += (1.0 - BETA2) * grad * grad
-            params[name] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            np.multiply(g, 1.0 - BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(m, bc1, out=b)
+            b *= self.lr
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += EPS
+            b /= a
+            p -= b
 
 
 def build_vocab(samples) -> Vocab:
@@ -166,7 +210,7 @@ def train(
             losses, grads = model.loss_and_grads(batch, weights)
             if math.isnan(losses["total"]):
                 raise DivergenceError("training loss is NaN")
-            optimizer.step(model.params, grads)
+            optimizer.step(grads)
             for key in sums:
                 sums[key] += losses[key] * len(chosen)
         loss_log.append(EpochLoss(**{k: v / n for k, v in sums.items()}))

@@ -38,14 +38,16 @@ from specsyn.model.network import (
     GENERATE_MAX_TOKENS,
     _LN_EPS,
     _GELU_C,
+    _dot,
     _gelu,
     _gelu_grad,
     _layer_norm,
     _layer_norm_grad,
+    _scatter_rows,
     _sigmoid,
     _softmax,
 )
-from specsyn.model.train import epoch_batches
+from specsyn.model.train import ADAM_CHUNK, BETA1, BETA2, EPS, Adam, epoch_batches
 from specsyn.synthdata import LabeledSample
 
 SMALL = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
@@ -425,6 +427,138 @@ class TestKernels:
         assert grads.keys() == want_grads.keys()
         for name, g in want_grads.items():
             assert_same(grads[name], g)
+
+
+# the protocol's weight shapes (n, m) of x @ w: attention, FFN in and out
+DOT_SHAPES = [(64, 64), (64, 256), (256, 64)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestDot:
+    """`_dot` equals the stacked product wherever inference uses it."""
+
+    @pytest.mark.parametrize("n,m", DOT_SHAPES)
+    def test_two_rows_or_more_equal_the_stacked_product(self, dtype, n, m):
+        rng = np.random.default_rng(n + m)
+        w = rng.normal(size=(n, m)).astype(dtype)
+        for b in range(1, 33):
+            x = rng.normal(size=(b, 37, n)).astype(dtype)
+            for length in range(2, 38):
+                part = np.ascontiguousarray(x[:, :length])
+                assert_same(_dot(part, w), part @ w)
+
+    @pytest.mark.parametrize("n,m", DOT_SHAPES)
+    def test_one_row_takes_the_stacked_product(self, dtype, n, m):
+        rng = np.random.default_rng(10 + n + m)
+        w = rng.normal(size=(n, m)).astype(dtype)
+        for b in range(1, 33):
+            x = rng.normal(size=(b, 5, n)).astype(dtype)
+            cls_row = x[:, :1]  # the view the last block multiplies
+            assert_same(_dot(cls_row, w), cls_row @ w)
+
+    def test_transposed_weights(self, dtype):
+        """Backward products multiply by w.T; the 2-D GEMM may round them
+        differently from the stacked loop, within a few ulps."""
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(64, 256)).astype(dtype)
+        dy = rng.normal(size=(32, 22, 256)).astype(dtype)
+        got = _dot(dy, w.T)
+        assert got.shape == (32, 22, 64) and got.dtype == dtype
+        np.testing.assert_allclose(got, dy @ w.T, rtol=1e-4 if dtype == np.float32 else 1e-12,
+                                   atol=1e-4 if dtype == np.float32 else 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestScatterRows:
+    """`_scatter_rows` adds exactly as np.add.at(table, ids, rows) does."""
+
+    def check(self, dtype, ids, d, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(40, d)).astype(dtype)
+        rows = rng.normal(size=ids.shape + (d,)).astype(dtype)
+        want = table.copy()
+        np.add.at(want, ids.reshape(-1), rows.reshape(-1, d))
+        got = table.copy()
+        _scatter_rows(got, ids, rows)
+        assert_same(got, want)
+
+    def test_encoder_rows(self, dtype):
+        rng = np.random.default_rng(0)
+        for trial in range(20):
+            b, length = int(rng.integers(1, 33)), int(rng.integers(1, 38))
+            # few distinct ids, unsorted, so most repeat many times
+            ids = rng.integers(0, 40 if trial % 2 else 4, size=(b, length))
+            self.check(dtype, ids, 64, trial)
+
+    def test_generator_step_rows(self, dtype):
+        rng = np.random.default_rng(1)
+        for trial in range(20):
+            b, steps = int(rng.integers(1, 33)), int(rng.integers(1, 11))
+            ids = rng.integers(0, 6, size=(b, steps))
+            self.check(dtype, ids[:, 0], 64, trial)  # one step's rows
+            self.check(dtype, ids[:, ::-1].T, 64, trial)  # every step, last first
+
+    def test_sums_in_add_at_order(self, dtype):
+        """Repeated ids add in order: 1 + 1e8 - 1e8 and 1 - 1e8 + 1e8 differ."""
+        ids = np.array([3, 0, 3, 3])
+        rows = np.array([[1.0], [5.0], [1e8], [-1e8]], dtype=dtype)
+        for order in ([0, 1, 2, 3], [2, 1, 3, 0]):
+            want = np.zeros((4, 1), dtype=dtype)
+            np.add.at(want, ids[order], rows[order])
+            got = np.zeros((4, 1), dtype=dtype)
+            _scatter_rows(got, ids[order], rows[order])
+            assert_same(got, want)
+
+
+def reference_adam_step(params, grads, m, v, t, lr):
+    """The per-tensor Adam update the flat one replaced."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for name, grad in grads.items():
+        m[name] *= BETA1
+        m[name] += (1.0 - BETA1) * grad
+        v[name] *= BETA2
+        v[name] += (1.0 - BETA2) * grad * grad
+        params[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestAdam:
+    SHAPES = {"big": (600, 250), "vector": (7,), "zero": (5, 3), "table": (513, 64)}
+
+    def test_flat_update_equals_the_per_tensor_formula(self, dtype):
+        rng = np.random.default_rng(3)
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in self.SHAPES.items()}
+        assert sum(p.size for p in params.values()) > 2 * ADAM_CHUNK  # chunks split tensors
+        want = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        optimizer = Adam(params, 1e-3)
+        for t, lr in enumerate((1e-3, 0.0, 3e-2, 1e-3, 1e-3), start=1):
+            grads = {k: (rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                     for k, s in self.SHAPES.items()}
+            grads["zero"][...] = 0.0
+            optimizer.lr = lr
+            before = {k: p.copy() for k, p in params.items()}
+            optimizer.step(grads)
+            reference_adam_step(want, grads, m, v, t, lr)
+            for name in params:
+                assert_same(params[name], want[name])
+            if lr == 0.0:
+                for name in params:
+                    assert_same(params[name], before[name])
+
+    def test_params_become_views_of_one_buffer(self, dtype, vocab):
+        model = Model.initialize(SMALL, vocab, rng_seed=0).cast(dtype)
+        values = {k: p.copy() for k, p in model.params.items()}
+        optimizer = Adam(model.params, 1e-3)
+        assert optimizer.params.dtype == dtype
+        assert optimizer.params.size == sum(p.size for p in values.values())
+        for name, tensor in model.params.items():
+            assert tensor.base is optimizer.params, name
+            assert_same(tensor, values[name])
+        optimizer.params[...] = 0.0
+        assert all(not p.any() for p in model.params.values())
 
 
 class TestGenerate:
