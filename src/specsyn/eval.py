@@ -202,8 +202,9 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     """Detect, then generate and detag, for each (text, tags) item: the one
     inference path that `evaluate` and `synthesize` share. It runs on a
     float32 copy of the model, which leaves the caller's parameters as they
-    are. Texts of similar token length are encoded together and flagged rows
-    decoded together (see `Model.encode_groups` and `Model.generate_batch`).
+    are. Texts of similar token length are encoded together, every pooled
+    vector of the call is detected at once, and flagged rows are decoded
+    together (see `Model.encode_groups` and `Model.generate_batch`).
     Every text must fit the model's max_len with [CLS]; `check_lengths`
     names the first that does not."""
     sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
@@ -211,18 +212,21 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     # a float32-trained model casts to float32 exactly, and the encoder's
     # elementwise kernels run several times as fast in it as in float64
     model = model.cast(np.float32)
-    flagged, pooled = [], []
+    order, pooled = [], []  # rows in encoder order and their pooled vectors
     for rows, h_c in model.encode_groups(sequences):
-        for row, h, probs in zip(rows, h_c, model.detect(h_c)):
-            if predicted_label(probs):
-                flagged.append(row)
-                pooled.append(h)
+        order += rows
+        pooled.append(h_c)
     results = [Inference(False)] * len(items)
-    if not flagged:
+    if not order:
         return results
+    pooled = np.concatenate(pooled)
+    hits = [i for i, probs in enumerate(model.detect(pooled)) if predicted_label(probs)]
+    if not hits:
+        return results
+    flagged = [order[i] for i in hits]
     tag_maps = [items[row][1] for row in flagged]
     for row, tags, generated in zip(
-        flagged, tag_maps, model.generate_batch(np.array(pooled), tag_maps)
+        flagged, tag_maps, model.generate_batch(pooled[hits], tag_maps)
     ):
         try:
             results[row] = Inference(True, generated.tokens, rule=detag(generated.tokens, tags))

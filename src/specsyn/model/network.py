@@ -9,10 +9,12 @@ computes its query, attention output and FFN for the [CLS] row alone, in
 the forward and the backward pass; its keys and values cover every position.
 Inference sorts texts by token length and encodes consecutive ones
 together, padding each to the longest of its call and masking the padded
-keys; it keeps no backward cache, and decodes flagged rows in small batches
-(`encode_groups`, `generate_batch`). The encoder's weight products run as
-one 2-D GEMM per call (`_dot`), and each embedding gradient is one flat
-scatter (`_scatter_rows`).
+keys; it keeps no backward cache, and decodes flagged rows in batches
+(`encode_groups`, `generate_batch`). Greedy decoding bans the control
+tokens through a copy of the output bias and each row's absent tags through
+a bias on the 40 tag columns, so no step builds a vocabulary-wide mask. The
+encoder's weight products run as one 2-D GEMM per call (`_dot`), and each
+embedding gradient is one flat scatter (`_scatter_rows`).
 
 Every parameter lives in a flat name -> array mapping and every gradient
 is derived by hand, so the complete network can be checked against central
@@ -64,14 +66,21 @@ GENERATE_MAX_TOKENS = 24
 # decoding runs this many rows at once. From a float32 sweep of in-process
 # `eval` over 1,000 protocol samples, in fresh processes and in bench-like
 # rounds (BENCH_f32infer.json): 128 tokens ran about 1.2x slower than 192,
-# 192 to 384 tokens and 16 to 64 rows were within noise of each other, and
-# 192 tokens with 16 rows took no minor page faults per call in a fresh
-# process and settled at none per `eval` call in repeated rounds.
+# 192 to 384 tokens were within noise of each other, and 192 tokens took no
+# minor page faults per call in a fresh process and settled at none per
+# `eval` call in repeated rounds. Decoding the 300 flagged rows of a seed-11
+# `eval` call took 10.8 ms at 16 rows, 7.1 ms at 64, 6.3 ms at 128 and
+# 6.1 ms at 256 (BENCH_decode.json). The `extract` peak RSS stayed flat at 64
+# and 128 rows and rose 1.1-2.0 MB at 256, and 128 gained no `extract`
+# throughput that its runs could resolve.
 ENCODE_TOKEN_BUDGET = 192
-DECODE_ROWS = 16
-# never generated: the control tokens other than [EOS], and every tag token
-# until a row's tag map allows it
-_BANNED_IDS = [PAD_ID, UNK_ID, CLS_ID, BOS_ID, *TAG_TOKEN_IDS.values()]
+DECODE_ROWS = 64
+# never generated: the control tokens other than [EOS]
+_CONTROL_IDS = [PAD_ID, UNK_ID, CLS_ID, BOS_ID]
+# the tag tokens' ids, one contiguous run; a row may generate those its tag
+# map holds
+_TAG_START = min(TAG_TOKEN_IDS.values())
+_TAG_END = max(TAG_TOKEN_IDS.values()) + 1
 
 
 @dataclass(frozen=True)
@@ -380,7 +389,9 @@ class Model:
             )
         emb = p["embed/tokens"][ids]
         emb += p["embed/positions"][:length]
-        key_bias = np.where(mask[:, None, None, :], 0.0, -np.inf).astype(emb.dtype, copy=False)
+        # -inf on padded keys; a call without padding adds nothing
+        key_bias = None if mask.all() else (
+            np.where(mask[:, None, None, :], 0.0, -np.inf).astype(emb.dtype, copy=False))
         scale = 1.0 / math.sqrt(cfg.d_model // cfg.heads)
 
         h = emb
@@ -397,7 +408,8 @@ class Model:
             vh = _split_heads(_dot(a, p[f"{blk}/attn/wv"]), cfg.heads)
             scores = qh @ kh.transpose(0, 1, 3, 2)
             scores *= scale
-            scores += key_bias
+            if key_bias is not None:
+                scores += key_bias
             att = _softmax(scores)
             ctx = _merge_heads(att @ vh)
             h1 = _dot(ctx, p[f"{blk}/attn/wo"])
@@ -500,10 +512,10 @@ class Model:
         p = self.params
         g = GENERATOR_HIDDEN
         gates = x @ p["generator/wx"] + h @ p["generator/wh"] + p["generator/b"]
-        i = _sigmoid(gates[:, :g])
-        f = _sigmoid(gates[:, g:2 * g])
+        # one elementwise call over the block; its z columns go unused
+        s = _sigmoid(gates)
+        i, f, o = s[:, :g], s[:, g:2 * g], s[:, 3 * g:]
         z = np.tanh(gates[:, 2 * g:3 * g])
-        o = _sigmoid(gates[:, 3 * g:])
         c_new = f * c + i * z
         tc = np.tanh(c_new)
         h_new = o * tc
@@ -697,7 +709,8 @@ class Model:
     def generate_batch(self, h_c, tag_maps) -> list[GenerationResult]:
         """Greedy decode of each row of h_c (B, d), DECODE_ROWS rows at a
         time. A row may emit only the tag tokens present in its own tag map,
-        and stops at [EOS] or after GENERATE_MAX_TOKENS tokens."""
+        never [PAD], [UNK], [CLS] or [BOS], and stops at [EOS] or after
+        GENERATE_MAX_TOKENS tokens."""
         results = []
         for start in range(0, len(tag_maps), DECODE_ROWS):
             rows = slice(start, start + DECODE_ROWS)
@@ -706,29 +719,41 @@ class Model:
 
     def _decode(self, h_c, tag_maps) -> list[GenerationResult]:
         p = self.params
-        allowed = np.ones((len(tag_maps), len(self.vocab)), dtype=bool)
-        allowed[:, _BANNED_IDS] = False
+        n = len(tag_maps)
+        out_w = p["generator/out_w"]
+        out_b = p["generator/out_b"].copy()
+        out_b[_CONTROL_IDS] = -np.inf
+        # each row's additive 0/-inf bias over the tag columns: the same
+        # argmax as -inf assigned at the tags its tag map lacks
+        tag_bias = np.full((n, len(TAG_TOKEN_IDS)), -np.inf, dtype=out_b.dtype)
         for row, tags in enumerate(tag_maps):
-            allowed[row, [TAG_TOKEN_IDS[t] for t in tags if t in TAG_TOKEN_IDS]] = True
+            tag_bias[row, [TAG_TOKEN_IDS[t] - _TAG_START for t in tags if t in TAG_TOKEN_IDS]] = 0.0
 
         h, c = self._lstm_start(h_c)
-        prev = np.full(len(tag_maps), BOS_ID)
-        live = np.arange(len(tag_maps))  # rows still decoding, in h and c order
-        tokens: list[list[str]] = [[] for _ in tag_maps]
-        for _ in range(GENERATE_MAX_TOKENS):
+        prev = np.full(n, BOS_ID)
+        live = np.arange(n)  # rows still decoding, in h and c order
+        chosen = np.empty((n, GENERATE_MAX_TOKENS), dtype=np.int64)  # ids, row by step
+        lengths = np.full(n, GENERATE_MAX_TOKENS)  # a row ends at its [EOS] step
+        for step in range(GENERATE_MAX_TOKENS):
             h, c, _ = self._lstm_step(p["embed/tokens"][prev], h, c)
-            logits = h @ p["generator/out_w"] + p["generator/out_b"]
-            logits[~allowed[live]] = -np.inf
+            logits = h @ out_w
+            logits += out_b
+            logits[:, _TAG_START:_TAG_END] += tag_bias
             prev = logits.argmax(axis=1)
             going = prev != EOS_ID
-            for row, token_id in zip(live[going], prev[going]):
-                tokens[row].append(self.vocab.token_of(token_id))
             if not going.all():
-                live, prev, h, c = live[going], prev[going], h[going], c[going]
+                lengths[live[~going]] = step
+                live, prev, h, c, tag_bias = (
+                    live[going], prev[going], h[going], c[going], tag_bias[going])
+            chosen[live, step] = prev
             if not live.size:
                 break
         truncated = set(live.tolist())  # rows that never reached [EOS]
-        return [GenerationResult(tuple(t), row in truncated) for row, t in enumerate(tokens)]
+        names = self.vocab.tokens
+        return [
+            GenerationResult(tuple([names[i] for i in ids[:length]]), row in truncated)
+            for row, (ids, length) in enumerate(zip(chosen.tolist(), lengths.tolist()))
+        ]
 
 
 def predicted_label(det_probs) -> bool:

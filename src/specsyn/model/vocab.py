@@ -6,6 +6,7 @@ learned from the training split in sorted order so vocabulary construction
 is deterministic.
 """
 
+import re
 from collections.abc import Iterable, Sequence
 
 from ..tagger import TAG_SLOTS, TAG_TOKEN_RE, TagClass
@@ -32,13 +33,20 @@ TAG_TOKEN_IDS = {
 }
 
 
+# TAG_TOKEN_RE as the one group of a pattern, so that `split` returns the
+# text between tag tokens and the tag tokens themselves, in order
+_TAG_SPLIT_RE = re.compile("(" + TAG_TOKEN_RE.pattern.replace("(", "(?:") + ")")
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace tokenization that keeps tag tokens as atoms.
 
     Tag tokens glued to punctuation ("<keyword1>." or "<num1><unit1>")
-    are separated first; no other normalization happens.
+    are separated first; no other normalization happens. Joining the
+    pieces of `_TAG_SPLIT_RE.split` with spaces gives the text with a space
+    on each side of every tag token.
     """
-    return TAG_TOKEN_RE.sub(r" \g<0> ", text).split()
+    return " ".join(_TAG_SPLIT_RE.split(text)).split()
 
 
 class Vocab:

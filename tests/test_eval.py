@@ -30,7 +30,7 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
-from specsyn.model import CLS_ID, EOS_ID, PAD_ID, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
+from specsyn.model import CLS_ID, EOS_ID, PAD_ID, TAG_SLOTS, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
 from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
 from specsyn.tagger import TagClass, load_lexicons
 
@@ -468,13 +468,14 @@ class TestInferBatch:
                 w.flagged, w.tokens, w.rule, w.failure), (i, items[i])
         return got
 
-    def test_random_tagged_texts(self, trained):
+    def test_random_tagged_texts(self, trained, monkeypatch):
         model, samples = trained
+        monkeypatch.setattr(network, "DECODE_ROWS", 16)  # several decode batches
         items = [(s.text, s.tags) for s in samples] + random_items(random.Random(7), 300)
         got = self.assert_matches_oracle(model, items)
         assert any(r.rule is not None for r in got)
         assert any(r.failure is not None for r in got)
-        assert sum(r.flagged for r in got) > DECODE_ROWS
+        assert sum(r.flagged for r in got) > network.DECODE_ROWS
         assert not all(r.flagged for r in got)
 
     def test_length_group_larger_than_the_token_budget(self, trained, monkeypatch):
@@ -540,6 +541,22 @@ class TestInferBatch:
                 elif budget == 10_000:  # every row fits one call
                     assert len(calls) == 1
                 assert decoded == ([1] * flagged if rows == 1 else [flagged])
+
+    def test_one_detect_call_over_every_row(self, trained, monkeypatch):
+        model, samples = trained
+        items = [(s.text, s.tags) for s in samples] + random_items(random.Random(19), 300)
+        want = [infer_oracle.infer(model, text, tags) for text, tags in items]
+        calls = encoder_calls(monkeypatch)
+        detected = []
+        real = Model.detect
+
+        def detect(self, h_c):
+            detected.append(len(h_c))
+            return real(self, h_c)
+
+        monkeypatch.setattr(Model, "detect", detect)
+        self.assert_matches_oracle(model, items, want)
+        assert len(calls) > 1 and detected == [len(items)]
 
     def test_caller_model_stays_float64_and_unchanged(self, trained, monkeypatch):
         model, samples = trained
@@ -623,6 +640,42 @@ class TestInferBatch:
         got = self.assert_matches_oracle(model, random_items(random.Random(11), 80))
         lengths = {len(r.tokens) for r in got}
         assert len(lengths) > 10 and GENERATE_MAX_TOKENS in lengths
+
+
+class TestGenerateBatch:
+    """`Model.generate_batch` equals the one-row greedy loop of
+    tests/infer_oracle.py, row by row, at every decode batch size."""
+
+    ALL_TAGS = {f"{cls.value}{slot}": "x" for cls in TagClass for slot in range(1, TAG_SLOTS + 1)}
+
+    def random_tag_map(self, rng):
+        kind = rng.random()
+        if kind < 0.15:
+            return {}
+        if kind < 0.3:
+            return dict(self.ALL_TAGS)
+        tags = {}
+        for _ in range(rng.randint(1, 8)):
+            tags[f"{rng.choice(list(TagClass)).value}{rng.randint(1, TAG_SLOTS + 1)}"] = "x"
+        if rng.random() < 0.3:  # ids that no tag token stands for
+            tags[rng.choice(("num0", "num10", "keyword", "word1", "<num1>"))] = "x"
+        return tags
+
+    @pytest.mark.parametrize("rows", [1, 3, DECODE_ROWS])
+    def test_equals_the_one_row_oracle(self, trained, monkeypatch, rows):
+        monkeypatch.setattr(network, "DECODE_ROWS", rows)
+        rng = random.Random(rows)
+        trained_model = trained[0]
+        untrained = Model.initialize(trained_model.config, trained_model.vocab, rng_seed=rows)
+        for model in (trained_model.cast(np.float32), untrained):
+            d = model.config.d_model
+            for n in (1, 2, rows, rows + 1, 2 * rows + 3, 40):
+                h = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(n)],
+                             dtype=model.params["pool/w1"].dtype)
+                tag_maps = [self.random_tag_map(rng) for _ in range(n)]
+                got = model.generate_batch(h, tag_maps)
+                want = [infer_oracle.generate(model, h[i], tag_maps[i]) for i in range(n)]
+                assert got == want, (n, tag_maps)
 
 
 KEYWORDS = KeywordSet("test", tuple(f"opt{i}" for i in range(6)))

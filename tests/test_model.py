@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from specsyn.model import (
 from specsyn.model.checkpoint import CheckpointError
 from specsyn.model.network import (
     GENERATE_MAX_TOKENS,
+    GENERATOR_HIDDEN,
     _LN_EPS,
     _GELU_C,
     _dot,
@@ -48,7 +50,8 @@ from specsyn.model.network import (
     _softmax,
 )
 from specsyn.model.train import ADAM_CHUNK, BETA1, BETA2, EPS, Adam, epoch_batches
-from specsyn.synthdata import LabeledSample
+from specsyn.synthdata import LabeledSample, build_dataset, default_distractors, default_library
+from specsyn.tagger import TAG_TOKEN_RE
 
 SMALL = ModelConfig(d_model=16, blocks=1, heads=4, max_len=32)
 TWO_BLOCKS = ModelConfig(d_model=16, blocks=2, heads=4, max_len=32)
@@ -117,6 +120,28 @@ class TestVocab:
     def test_tokenize_splits_tags_from_punctuation(self):
         assert tokenize("set <keyword1>.") == ["set", "<keyword1>", "."]
         assert tokenize("(<num1>,<num2>)") == ["(", "<num1>", ",", "<num2>", ")"]
+
+    def test_tokenize_equals_the_tag_substitution_it_replaced(self):
+        def substituted(text):
+            return TAG_TOKEN_RE.sub(r" \g<0> ", text).split()
+
+        texts = []
+        for seed in (42, 7):
+            dataset = build_dataset(default_library(), default_distractors(), n_total=3250,
+                                    rng_seed=seed, n_test=250)
+            texts += [sample.text for sample in dataset.train + dataset.test]
+        # glued and malformed tags, bare angle brackets, and non-ASCII
+        # letters, digits and spaces
+        pieces = ["<keyword1>", "<num2>", "<bool8>", "<unit12>", "<format01>", "<num\u0661>",
+                  "<num>", "<NUM1>", "<num 1>", "<>", "<", ">", "<<", ">>", "num1", "x", "set",
+                  ".", ",", "(", ")", "é", "ß", "中", "\u00a0", "\u2003", "\x1c", "\t", "\n",
+                  " ", "  "]
+        rng = random.Random(2201)
+        texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 20)))
+                  for _ in range(5000)]
+        assert sum("<" in text for text in texts) > 5000
+        for text in texts:
+            assert tokenize(text) == substituted(text), text
 
     def test_tag_beyond_slot_limit_is_unknown(self):
         v = Vocab.build(["use <num12> here"])
@@ -601,6 +626,29 @@ class TestGenerate:
         result = model.generate(h, {"keyword1": "a", "keyword2": "b", "bool1": "on"})
         banned = {"[PAD]", "[UNK]", "[CLS]", "[BOS]", "[EOS]"}
         assert banned.isdisjoint(result.tokens)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_step_equals_the_per_gate_formula(model, dtype):
+    m = model.cast(dtype)
+    p, g = m.params, GENERATOR_HIDDEN
+    rng = np.random.default_rng(51)
+    for rows in (1, 10, 64):
+        x = (3.0 * rng.normal(size=(rows, SMALL.d_model))).astype(dtype)
+        h = np.tanh(rng.normal(size=(rows, g))).astype(dtype)
+        c = (2.0 * rng.normal(size=(rows, g))).astype(dtype)
+        gates = x @ p["generator/wx"] + h @ p["generator/wh"] + p["generator/b"]
+        i = _sigmoid(gates[:, :g])
+        f = _sigmoid(gates[:, g:2 * g])
+        z = np.tanh(gates[:, 2 * g:3 * g])
+        o = _sigmoid(gates[:, 3 * g:])
+        c_new = f * c + i * z
+        tc = np.tanh(c_new)
+        want = (o * tc, c_new, (i, f, z, o, tc))
+        got = m._lstm_step(x, h, c)
+        assert_same(got, want)
+        for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBatching:
