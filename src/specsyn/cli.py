@@ -3,10 +3,10 @@
 Each subcommand reads its input files, calls the library and writes its
 outputs; how a text becomes model input and a rule lives in `specsyn.eval`
 (`synthesize` and `evaluate`), not here. Conventions shared by every
-subcommand: logs go to standard error and data to files, each run writes
-an effective-config JSON next to its primary output, and expected
-failures (bad paths, malformed inputs) exit with status 2 and a one-line
-diagnostic instead of a stack trace.
+subcommand: logs go to standard error and data to files, every run but
+`check` writes an effective-config JSON next to its primary output, and
+expected failures (bad paths, malformed inputs) exit with status 2 and a
+one-line diagnostic instead of a stack trace.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 Raw documents (plain text, stripped HTML, or source code comments) are split
 into sentences; sentences that mention a configuration keyword become
-candidate texts, either alone (Simple) or with a short window of following
-sentences (Complex).
+candidate texts, either alone (Simple) or with a window of following
+sentences (Complex). No reader loops over characters in Python, and each
+takes time linear in its text: `comment_bodies` is one compiled pattern,
+`split_sentences` one for sentence ends and one for abbreviations, and
+`extract_candidates` runs `KeywordSet.find` once per sentence.
 """
 
 from __future__ import annotations
@@ -145,32 +148,33 @@ class CandidateText:
 # sentence splitting
 
 _ABBREVIATIONS = frozenset({"e.g", "i.e", "etc", "cf", "vs", "fig", "eq", "sec"})
-
-
-def _is_sentence_boundary(text: str, i: int) -> bool:
-    ch = text[i]
-    if ch == ".":
-        m = re.search(r"[A-Za-z][A-Za-z.]*$", text[:i])
-        if m and m.group().lower() in _ABBREVIATIONS:
-            return False
-    j = i + 1
-    if j >= len(text):
-        return True
-    if not text[j].isspace():
-        return False
-    while j < len(text) and text[j].isspace():
-        j += 1
-    return j >= len(text) or text[j].isupper()
+# An abbreviation in any ASCII case that is the whole dotted word before a
+# ".": only dots stand between it and the last character before it that is
+# neither an ASCII letter nor a dot, and the "." follows it at once or after
+# one newline. Each match ends at such a ".", which ends no sentence.
+_ABBREVIATION_RE = re.compile(
+    rf"(?<![A-Za-z.])\.*(?:{'|'.join(map(re.escape, sorted(_ABBREVIATIONS)))})\n?(?=\.)",
+    re.ASCII | re.IGNORECASE,
+)
+# ., ? or ! that ends the text or is followed by whitespace; a sentence ends
+# there when that whitespace reaches the text's end or an uppercase character
+_SENTENCE_END_RE = re.compile(r"[.?!](?:\s+|\Z)")
 
 
 def split_sentences(text: str) -> list:
-    """Split on ., ? or ! followed by whitespace and a capital (or text end)."""
+    """Split after each ., ? or ! that ends the text or is followed by
+    whitespace and then an uppercase character or the text's end; a "."
+    ending an abbreviation such as "e.g" or "etc", in any case, splits
+    nothing. Each sentence's whitespace runs become single spaces."""
+    abbreviated = {m.end() for m in _ABBREVIATION_RE.finditer(text)}
     sentences = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch in ".?!" and _is_sentence_boundary(text, i):
-            sentences.append(text[start : i + 1])
-            start = i + 1
+    for end in _SENTENCE_END_RE.finditer(text):
+        at, after = end.start(), end.end()
+        if at in abbreviated or (after < len(text) and not text[after].isupper()):
+            continue
+        sentences.append(text[start : at + 1])
+        start = at + 1
     sentences.append(text[start:])
     return [" ".join(s.split()) for s in sentences if s.strip()]
 
@@ -226,53 +230,24 @@ def _looks_like_code(line: str) -> bool:
     return punct / len(chars) > 0.4
 
 
+# A string runs to its quote or a newline, a backslash escaping any
+# character; a /* */ block or a // or # line comment left open runs to the
+# end of the input. Only comments fill the groups: (block body, "*/",
+# line body, "\n").
+_COMMENT_RE = re.compile(
+    r""""(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?"""
+    r"|/\*(.*?)(\*/|\Z)|(?://|#)([^\n]*)(\n?)",
+    re.DOTALL,
+)
+
+
 def comment_bodies(code: str) -> list:
     """Raw comment bodies: /* */ blocks plus // and # line comments.
 
-    Comment markers inside string literals are ignored.
-    """
-    comments = []
-    i, n = 0, len(code)
-    state = "code"  # code | block | line | string
-    quote = ""
-    buf = []
-    while i < n:
-        c = code[i]
-        if state == "code":
-            if c in "\"'":
-                state, quote = "string", c
-            elif c == "/" and code[i : i + 2] == "/*":
-                state = "block"
-                i += 1
-            elif c == "/" and code[i : i + 2] == "//":
-                state = "line"
-                i += 1
-            elif c == "#":
-                state = "line"
-        elif state == "string":
-            if c == "\\":
-                i += 1
-            elif c == quote or c == "\n":
-                state = "code"
-        elif state == "block":
-            if c == "*" and code[i : i + 2] == "*/":
-                comments.append("".join(buf))
-                buf = []
-                state = "code"
-                i += 1
-            else:
-                buf.append(c)
-        elif state == "line":
-            if c == "\n":
-                comments.append("".join(buf))
-                buf = []
-                state = "code"
-            else:
-                buf.append(c)
-        i += 1
-    if state in ("block", "line") and buf:
-        comments.append("".join(buf))
-    return comments
+    Comment markers inside string literals are ignored. An empty body is
+    kept only when its comment was closed."""
+    return [block + line for block, shut, line, eol in _COMMENT_RE.findall(code)
+            if block or shut or line or eol]
 
 
 def extract_comments(code: str) -> list:
@@ -316,21 +291,27 @@ def extract_candidates(
     window: int = 3,
     doc_id: str = "doc",
 ) -> list:
-    """Simple and Complex candidates for every keyword-bearing sentence."""
+    """Simple and Complex candidates for every keyword-bearing sentence: the
+    sentence alone, then, unless it is the last, the up to `window`
+    sentences from it joined by spaces, Complex-Single when they name one
+    keyword and Complex-Multi when they name more."""
     if window < 1:
         raise CorpusError("window must be >= 1")
+    found = [keywords.find(sentence) for sentence in sentences]
     candidates = []
-    for i, sentence in enumerate(sentences):
-        matched = keywords.find(sentence)
+    for i, matched in enumerate(found):
         if not matched:
             continue
         candidates.append(
-            CandidateText(sentence, f"{doc_id}:{i}", ExtractionType.SIMPLE, tuple(matched))
+            CandidateText(sentences[i], f"{doc_id}:{i}", ExtractionType.SIMPLE, tuple(matched))
         )
         span = sentences[i : i + window]
         if len(span) >= 2:
             text = " ".join(span)
-            span_matched = keywords.find(text)
+            # no keyword holds whitespace, and the joining space is a keyword
+            # edge as a text end is, so the window's keywords are its
+            # sentences' keywords in order of first occurrence
+            span_matched = list(dict.fromkeys(kw for kws in found[i : i + window] for kw in kws))
             kind = (
                 ExtractionType.COMPLEX_SINGLE
                 if len(span_matched) == 1

@@ -1,9 +1,9 @@
 """How specsyn reads its input files and writes its outputs.
 
-Input files are read as UTF-8 whose lines end at ``\\n``, ``\\r\\n`` or
-``\\r`` alone (a form feed or U+2028 stays inside its line). A file that
-cannot be read so raises `InputError`, naming PATH[:LINE]. Every output
-file is written by `write_output`."""
+Input files are read as UTF-8, one leading byte-order mark dropped, whose
+lines end at ``\\n``, ``\\r\\n`` or ``\\r`` alone (a form feed or U+2028
+stays inside its line). A file that cannot be read so raises `InputError`,
+naming PATH[:LINE]. Every output file is written by `write_output`."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ class InputError(ValueError):
 
 
 def read_text(path) -> str:
-    """The file decoded as UTF-8, with each line end turned into ``\\n``."""
+    """The file decoded as UTF-8, without a leading byte-order mark, with
+    each line end turned into ``\\n``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -30,7 +31,7 @@ def read_text(path) -> str:
         head = data[: exc.start].decode("utf-8")
         lineno = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise InputError(path, lineno, f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def content_lines(path) -> list[tuple[int, str]]:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import corpus_oracle
 import tag_oracle
 from specsyn import corpus
 from specsyn.corpus import (
@@ -222,6 +223,81 @@ def test_comment_extraction_matches_reference():
     for _ in range(200):
         code = random_code_snippet(rng)
         assert corpus.comment_bodies(code) == reference_comment_bodies(code)
+
+
+# Pieces of code that open, close or escape strings and comments, alone or
+# run together, so the random snippets below hold unterminated strings and
+# blocks, escaped quotes and newlines, trailing backslashes, "/*/", "/**/"
+# and comment markers at the end of the input.
+CODE_PIECES = ('"', "'", "\\", "\n", "/", "*", "#", "/*", "*/", "//", "/*/", "/**/", "\\\n",
+               "\\\"", " ", "x = 1;", "note", "'#'", '"//"')
+
+# Pieces of text around sentence ends: abbreviations in any case, "..",
+# a newline before ".", Unicode spaces, upper- and titlecase letters, and
+# letters that Unicode case folding would take for "k", "s" or "i".
+TEXT_PIECES = (".", "..", "?", "!", " ", "  ", "\n", "\n.", "\t", "\x1c", "\xa0", "\u2028",
+               "e.g", "E.G", "e.G", "i.e", "I.E", "etc", "Etc", "cf", "CF", "vs", "Fig", "eq",
+               "sec", "SEC", "a", "A", "É", "é", "ǅ", "ß", "word", "Word", "3.14", "1.2.3", "x.y",
+               "\u212a", "ſ", "ı")
+
+# Keywords that start with "--" or "-", end with "." or "-", or hold "."
+# inside, and pieces that spell them, touch them, or separate them.
+EDGE_KW = KeywordSet("x", ("a", "--a", "a.", "a-", "-b", "a.b", "b", "Max_Rows", "max_rows",
+                           "--log.level", "c-"))
+KEYWORD_PIECES = ("a", "--a", "a.", "a-", "-b", "A.B", "b", "-", "--", ".", "x", "_", " ", "\n",
+                  "\xa0", "MAX_ROWS", "max_rows", "--LOG.LEVEL", "log.level", "c-", "\u212a",
+                  "user_port", "have_ssl", "Set", "Keep it.")
+
+
+def random_pieces(rng: random.Random, pieces: tuple, most: int) -> str:
+    return "".join(rng.choice(pieces) for _ in range(rng.randint(0, most)))
+
+
+class TestReadersMatchOracle:
+    """The pattern readers against the character loops they replaced
+    (`tests/corpus_oracle.py`), on seeded random inputs."""
+
+    @pytest.mark.parametrize("code", [
+        'x = "open string', "x = 'open // string", "/* open block", "/* open\n block *",
+        's = "a\\', 's = "a\\\n // still string" // comment', "/*/ still open", "/*/ shut */",
+        "/**/", "/***/", "a /**/ b /* */", "#", "//", "x #", "x //", "#\n", "//\n",
+        "'a' # b 'c", '"\\"" # after', "# a\n# b\n", "/* a */ /* b", "'\n' # c",
+    ])
+    def test_comment_edge_cases(self, code):
+        assert corpus.comment_bodies(code) == corpus_oracle.comment_bodies(code)
+
+    def test_random_comments(self):
+        rng = random.Random(4101)
+        for _ in range(20000):
+            code = random_pieces(rng, CODE_PIECES, 14)
+            assert corpus.comment_bodies(code) == corpus_oracle.comment_bodies(code), code
+
+    @pytest.mark.parametrize("text", [
+        "Use e.g. Large values.", "Use E.G. Large values.", "See Fig. Two.", "Done etc. Next.",
+        "Stop.. Go.", "Stop\n. Go.", "Odd e.g\n. Then.", "A.\x1cB.", "A.\xa0B.", "A.\u2028B.",
+        "A. É is upper.", "A. ǅ is titlecase.", "A. é.", "End.", "End. ", "End.\n", "?", ".",
+        "x.Y", "Is it? Yes! No.", "Odd e.g\n\n. Then.", "See ..e.g. Two.", "See ab..e.g. Two.",
+        "See 1e.g. Two.", "See ſec. Two.", "See \u212aetc. Two.", "e.g\n.e.g. Two.",
+    ])
+    def test_sentence_edge_cases(self, text):
+        assert split_sentences(text) == corpus_oracle.split_sentences(text)
+
+    def test_random_sentences(self):
+        rng = random.Random(4102)
+        for _ in range(20000):
+            text = random_pieces(rng, TEXT_PIECES, 14)
+            assert split_sentences(text) == corpus_oracle.split_sentences(text), text
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_random_candidates(self, window):
+        rng = random.Random(4103 + window)
+        for _ in range(1500):
+            keywords = rng.choice((EDGE_KW, KW, PREFIX_KW))
+            # sentences as a caller may pass them: with edge and inner
+            # whitespace runs, empty, or repeated
+            sentences = [random_pieces(rng, KEYWORD_PIECES, 6) for _ in range(rng.randint(0, 7))]
+            assert (extract_candidates(sentences, keywords, window, "d")
+                    == corpus_oracle.extract_candidates(sentences, keywords, window, "d")), sentences
 
 
 class TestKeywordSet:

@@ -8,10 +8,13 @@ import stat
 import threading
 from pathlib import Path
 
+import json
+
 import pytest
 
 import specsyn
 
+from specsyn import cli, corpus, dsl
 from specsyn.files import (
     InputError,
     content_lines,
@@ -42,6 +45,68 @@ class TestReadText:
             read_text(path)
         assert err.value.lineno == 4
         assert str(err.value).startswith(f"{path}:4: not UTF-8")
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """A leading byte-order mark is dropped from every input file; it is no
+    line, so every later line keeps its number."""
+
+    def test_one_leading_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(BOM + b"a\r\nb")
+        assert read_text(path) == "a\nb"
+        path.write_bytes(BOM + BOM + b"a " + BOM)
+        assert read_text(path) == "\ufeffa \ufeff"
+
+    def test_bad_byte_after_the_mark_keeps_its_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(BOM + b"one\n\xff\n")
+        with pytest.raises(InputError, match=r"t\.txt:2: not UTF-8: .* at byte 7$"):
+            read_text(path)
+
+    def test_keyword_file(self, tmp_path):
+        path = tmp_path / "kw.txt"
+        path.write_bytes(BOM + b"max_rows\nuser_port\n")
+        assert corpus.load_keyword_file(path).keywords == ("max_rows", "user_port")
+        path.write_bytes(BOM + b"max_rows\nmax rows\n")
+        with pytest.raises(InputError, match=r"kw\.txt:2: bad keyword 'max rows'$"):
+            corpus.load_keyword_file(path)
+
+    def test_spec_file(self, tmp_path):
+        path = tmp_path / "rules.spec"
+        path.write_bytes(BOM + b"user_port > 1500\n")
+        assert [dsl.print_spec(spec) for spec in dsl.load_spec_file(path)] == ["user_port > 1500"]
+        path.write_bytes(BOM + b"user_port > 1500\n\nuser_port >\n")
+        with pytest.raises(InputError, match=r"rules\.spec:3: "):
+            dsl.load_spec_file(path)
+
+    def test_jsonl(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(BOM + b'{"n": 1}\n{"n": \n')
+        with pytest.raises(InputError, match=r"r\.jsonl:2: not JSON"):
+            read_jsonl(path, dict)
+        path.write_bytes(BOM + b'{"n": 1}\n{"n": 2}\n')
+        assert read_jsonl(path, dict) == [{"n": 1}, {"n": 2}]
+
+    @pytest.mark.parametrize("fmt, config, key", [
+        ("kv", b"user_port = 3308\nmax_rows = 50\n", "max_rows"),
+        ("ini", b"user_port = 3308\nmax_rows = 50\n", "max_rows"),
+        ("ini", b"[mysqld]\nmax_rows = 50\nuser_port = 3308\n", "mysqld.max_rows"),
+    ])
+    def test_config_keeps_its_first_key(self, tmp_path, fmt, config, key):
+        (tmp_path / "rules.spec").write_text("user_port > 1000\nmax_rows < 10\n", encoding="utf-8")
+        (tmp_path / "my.cnf").write_bytes(BOM + config)
+        report = tmp_path / "viol.json"
+        status = cli.main(["check", "--specs", str(tmp_path / "rules.spec"),
+                           "--config", str(tmp_path / "my.cnf"), "--format", fmt,
+                           "--report", str(report)])
+        assert status == 1
+        line = config.split(b"\n").index(b"max_rows = 50") + 1
+        found = [(v["verdict"], v["key"], v["line"]) for v in json.loads(report.read_text())]
+        assert found == [("ValueOutOfRange", key, line)]
 
 
 class TestContentLines:
