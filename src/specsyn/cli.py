@@ -37,15 +37,10 @@ from .corpus import (
 from .dsl import DslError, load_spec_file, save_spec_file
 from .eval import EvalError, evaluate, render_report, synthesize
 from .files import InputError, read_text, write_json, write_output
-from .model import (
-    ModelConfig,
-    ModelError,
-    SequenceTooLong,
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .model.checkpoint import load_checkpoint, save_checkpoint
+from .model.network import ModelConfig, SequenceTooLong
+from .model.train import TrainConfig, train
+from .model.vocab import ModelError
 from .synthdata import (
     SynthError,
     build_dataset,

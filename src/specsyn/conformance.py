@@ -184,24 +184,18 @@ def parse_config(text: str, format: ConfigFormat = ConfigFormat.KEY_VALUE) -> Co
 # ---------------------------------------------------------------------------
 # value coercion
 
-def _read_number(raw: str) -> tuple[float, str | None] | None:
-    """Leading magnitude and trailing unit of the observed string, or None."""
+def read_number(raw: str) -> tuple[float, str | None] | None:
+    """(magnitude, unit) of the observed string, or None.
+
+    Thousands separators are stripped, and the unit is the trailing unit
+    token or None ("512 MB" -> (512.0, "MB")).
+    """
     text = raw.strip()
     m = NUMBER_RE.match(text)
     tail = None if m is None else _UNIT_TAIL_RE.fullmatch(text, m.end())
     if tail is None:
         return None
     return float(m.group().replace(",", "")), tail.group(1)
-
-
-def coerce_number(raw: str) -> float | None:
-    """Leading magnitude of the observed string, or None.
-
-    Thousands separators are stripped and a trailing unit token is
-    tolerated but otherwise ignored ("512 MB" -> 512.0).
-    """
-    number = _read_number(raw)
-    return None if number is None else number[0]
 
 
 def coerce_bool(raw: str, lexicons: Lexicons) -> bool | None:
@@ -211,14 +205,14 @@ def coerce_bool(raw: str, lexicons: Lexicons) -> bool | None:
     return bool_polarity(surface)
 
 
-def _matches(observed: str, value, lexicons: Lexicons) -> bool | None:
-    """Equality of an observed string against one rule value.
+def _matches(observed: str, number, value, lexicons: Lexicons) -> bool | None:
+    """Equality of an observed string, whose `read_number` is `number`,
+    against one rule value.
 
     None means the observed string cannot be read as the value's type.
     """
     if isinstance(value, Number):
-        x = coerce_number(observed)
-        return None if x is None else x == value.magnitude
+        return None if number is None else number[0] == value.magnitude
     if isinstance(value, Boolean):
         b = coerce_bool(observed, lexicons)
         return None if b is None else b == value.flag
@@ -334,7 +328,7 @@ def _quantitative(rule: Rule, entry, lexicons) -> Violation | None:
     def bad(verdict):
         return Violation(rule, entry.key, observed, entry.line, verdict)
 
-    number = _read_number(observed)
+    number = read_number(observed)
     if number is not None and _units_clash(rule, number[1]):
         return bad(Verdict.UNIT_MISMATCH)
 
@@ -351,7 +345,7 @@ def _quantitative(rule: Rule, entry, lexicons) -> Violation | None:
             ok = lo.magnitude <= x <= hi.magnitude
         return None if ok else bad(Verdict.VALUE_OUT_OF_RANGE)
 
-    results = [_matches(observed, value, lexicons) for value in rule.values]
+    results = [_matches(observed, number, value, lexicons) for value in rule.values]
     if rel is Relation.EQ:
         ok = results[0]
     elif rel is Relation.NEQ:

@@ -2,9 +2,9 @@
 
 Raw documents (plain text, stripped HTML, or source code comments) are split
 into sentences; sentences that mention a configuration keyword become
-candidate texts, either alone (Simple) or with a window of following
-sentences (Complex). No reader loops over characters in Python, and each
-takes time linear in its text: `comment_bodies` is one compiled pattern,
+candidate texts, alone and with a window of following sentences, each
+typed by `extraction_type`. No reader loops over characters in Python, and
+each takes time linear in its text: `comment_bodies` is one compiled pattern,
 `split_sentences` one for sentence ends and one for abbreviations, and
 `extract_candidates` runs `KeywordSet.find` once per sentence.
 """
@@ -41,6 +41,16 @@ class ExtractionType(enum.Enum):
     SIMPLE = "simple"
     COMPLEX_SINGLE = "complex_single"
     COMPLEX_MULTI = "complex_multi"
+
+
+def extraction_type(n_keywords: int, n_sentences: int) -> ExtractionType:
+    """A text that names two keywords or more is Complex-Multi, else one of
+    two sentences or more is Complex-Single, else it is Simple."""
+    if n_keywords >= 2:
+        return ExtractionType.COMPLEX_MULTI
+    if n_sentences >= 2:
+        return ExtractionType.COMPLEX_SINGLE
+    return ExtractionType.SIMPLE
 
 
 # Keyword matching and tagging fold case over ASCII only: str.lower would
@@ -291,10 +301,9 @@ def extract_candidates(
     window: int = 3,
     doc_id: str = "doc",
 ) -> list:
-    """Simple and Complex candidates for every keyword-bearing sentence: the
-    sentence alone, then, unless it is the last, the up to `window`
-    sentences from it joined by spaces, Complex-Single when they name one
-    keyword and Complex-Multi when they name more."""
+    """Candidates for every keyword-bearing sentence: the sentence alone,
+    then, unless it is the last, the up to `window` sentences from it
+    joined by spaces, each typed by `extraction_type`."""
     if window < 1:
         raise CorpusError("window must be >= 1")
     found = [keywords.find(sentence) for sentence in sentences]
@@ -302,9 +311,8 @@ def extract_candidates(
     for i, matched in enumerate(found):
         if not matched:
             continue
-        candidates.append(
-            CandidateText(sentences[i], f"{doc_id}:{i}", ExtractionType.SIMPLE, tuple(matched))
-        )
+        candidates.append(CandidateText(
+            sentences[i], f"{doc_id}:{i}", extraction_type(len(matched), 1), tuple(matched)))
         span = sentences[i : i + window]
         if len(span) >= 2:
             text = " ".join(span)
@@ -312,11 +320,7 @@ def extract_candidates(
             # edge as a text end is, so the window's keywords are its
             # sentences' keywords in order of first occurrence
             span_matched = list(dict.fromkeys(kw for kws in found[i : i + window] for kw in kws))
-            kind = (
-                ExtractionType.COMPLEX_SINGLE
-                if len(span_matched) == 1
-                else ExtractionType.COMPLEX_MULTI
-            )
+            kind = extraction_type(len(span_matched), len(span))
             candidates.append(
                 CandidateText(
                     text, f"{doc_id}:{i}-{i + len(span) - 1}", kind, tuple(span_matched)

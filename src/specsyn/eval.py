@@ -20,10 +20,9 @@ import numpy as np
 
 from .corpus import ExtractionType
 from .dsl import Category, Specification, print_spec
-from .model import (
-    CLS_ID, TAG_SLOTS, TAG_TOKEN_IDS, check_lengths, predicted_label, tokenize,
-)
-from .tagger import NonParsingOutput, UnknownTagError, detag, tag_text
+from .model.network import check_lengths, predicted_label
+from .model.vocab import CLS_ID, TAG_TOKEN_IDS, tokenize
+from .tagger import TAG_SLOTS, NonParsingOutput, UnknownTagError, detag, tag_text
 
 log = logging.getLogger(__name__)
 

@@ -656,17 +656,10 @@ class Model:
 
     # ------------------------------------------------------------------ inference
 
-    def encode(self, ids) -> np.ndarray:
-        """Pooled representation of one id sequence starting at [CLS]."""
-        ids = np.asarray(list(ids), dtype=np.int64)
-        if ids.size == 0 or ids[0] != CLS_ID:
-            raise ModelError("sequence must start with [CLS]")
-        h_c, _ = self._encode_batch(
-            ids[None, :], np.ones((1, ids.size), dtype=bool), keep_cache=False)
-        return h_c[0]
-
     def encode_text(self, text: str) -> np.ndarray:
-        return self.encode([CLS_ID] + self.vocab.encode(text))
+        """Pooled representation of one text, [CLS] prepended."""
+        ids = np.array([[CLS_ID] + self.vocab.encode(text)], dtype=np.int64)
+        return self._encode_batch(ids, np.ones(ids.shape, dtype=bool), keep_cache=False)[0][0]
 
     def _head_probs(self, head, h_c) -> np.ndarray:
         h = np.atleast_2d(np.asarray(h_c))

@@ -95,8 +95,5 @@ class Vocab:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
     def encode(self, text: str) -> list[int]:
         return [self.id_of(tok) for tok in tokenize(text)]

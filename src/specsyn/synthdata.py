@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import dsl
-from .corpus import ExtractionType, KeywordSet
+from .corpus import ExtractionType, KeywordSet, extraction_type
 from .dsl import Category
 from .files import content_lines, read_json, read_jsonl, write_jsonl
 from .tagger import (
@@ -85,15 +85,6 @@ def _find_slots(texts) -> tuple:
     return tuple(seen)
 
 
-def _derive_type(n_keywords: int, n_sentences: int) -> ExtractionType:
-    """Two keywords make a multi-keyword sample, else two sentences a complex one."""
-    if n_keywords >= 2:
-        return ExtractionType.COMPLEX_MULTI
-    if n_sentences >= 2:
-        return ExtractionType.COMPLEX_SINGLE
-    return ExtractionType.SIMPLE
-
-
 @dataclass(frozen=True)
 class SeedTemplate:
     id: str
@@ -119,7 +110,7 @@ class SeedTemplate:
         if any(_slot_prefix(s) == "version" for s in slots):
             raise TemplateError(f"template {self.id}: version slots are negative-only")
         n_keywords = sum(_slot_prefix(s) == "kw" for s in slots)
-        derived = _derive_type(n_keywords, len(self.sentences))
+        derived = extraction_type(n_keywords, len(self.sentences))
         if derived is not self.type:
             raise TemplateError(
                 f"template {self.id}: declared type {self.type.value} but "
@@ -361,7 +352,7 @@ def _compose_negative(
     found = keywords.find(text)
     if not found:
         raise TemplateError(f"negative {template.id}: no keyword in output")
-    kind = _derive_type(len(found), n_sentences)
+    kind = extraction_type(len(found), n_sentences)
     return LabeledSample(tagged.text, tagged.tags, False, (), None, kind, None)
 
 

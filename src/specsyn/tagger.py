@@ -78,6 +78,13 @@ class Lexicons:
     unit_surfaces: tuple
     format_surfaces: tuple
 
+    def __post_init__(self):
+        for cls in (TagClass.BOOL, TagClass.UNIT, TagClass.FORMAT):
+            for surface in self.surfaces(cls):
+                if not surface or surface != surface.strip():
+                    raise TagError(f"{cls.value} surface {surface!r} is empty or "
+                                   "has whitespace at an edge")
+
     def surfaces(self, cls: TagClass) -> tuple:
         return {
             TagClass.BOOL: self.bool_surfaces,
@@ -120,13 +127,9 @@ def _number_guard_ok(text: str, start: int, end: int) -> bool:
     return True
 
 
-# TOKEN_RE with whitespace as tokens too, for lexicons whose surfaces start there
-_TOKEN_OR_SPACE_RE = re.compile(r"[a-z0-9_]+|[^a-z0-9_]")
-
-
 @lru_cache(maxsize=64)
 def _lookup(keywords: KeywordSet, lexicons: Lexicons):
-    """The token pattern, the lexicon table and the tokens worth a look.
+    """The lexicon table and the tokens worth a look.
 
     The table maps the first token of each lexicon surface to its (surface,
     class, tail guard) triples, longest first. A token is worth a look when
@@ -135,12 +138,11 @@ def _lookup(keywords: KeywordSet, lexicons: Lexicons):
     # ascending priority, so a surface in two classes keeps the higher one
     classes = {surface: cls for cls in (TagClass.UNIT, TagClass.BOOL, TagClass.FORMAT)
                for surface in lexicons.surfaces(cls)}
-    token_re = TOKEN_RE if all(map(TOKEN_RE.match, classes)) else _TOKEN_OR_SPACE_RE
     table: dict = {}
     for surface in sorted(classes, key=len, reverse=True):
-        table.setdefault(token_re.match(surface).group(), []).append(
+        table.setdefault(TOKEN_RE.match(surface).group(), []).append(
             (surface, classes[surface], surface[-1] in WORD_CHARS))
-    return token_re, table, {*table, *keywords.by_first_token, "-"}
+    return table, {*table, *keywords.by_first_token, "-"}
 
 
 def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandidate:
@@ -153,14 +155,14 @@ def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandi
     `NUMBER_RE`; the longest of the three wins, and equal lengths go to the
     class with the higher priority. Text between literals is copied as it
     stands."""
-    token_re, lexicon, worth_a_look = _lookup(keywords, lexicons)
+    lexicon, worth_a_look = _lookup(keywords, lexicons)
     low = text.translate(ASCII_LOWER)
     ids: dict = {}  # (class, surface) -> tag id
     counters: dict = {}  # class -> tags so far
     tags: dict = {}
     out = []
     i = 0
-    for token in token_re.finditer(low):
+    for token in TOKEN_RE.finditer(low):
         word = token.group()
         if not (word in worth_a_look or word[0].isdecimal()) or (at := token.start()) < i:
             continue

@@ -4,7 +4,8 @@ references their output is compared against.
 `comment_bodies` walks the code one character at a time through a state
 machine; `split_sentences` tests every ".", "?" and "!" with a search over
 the text before it; `extract_candidates` finds a window's keywords by
-scanning the joined window again.
+scanning the joined window again. It types candidates as
+`corpus.extraction_type` does, written out on its own.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ def extract_candidates(
         matched = keywords.find(sentence)
         if not matched:
             continue
-        candidates.append(
-            CandidateText(sentence, f"{doc_id}:{i}", ExtractionType.SIMPLE, tuple(matched))
-        )
+        kind = ExtractionType.SIMPLE if len(matched) == 1 else ExtractionType.COMPLEX_MULTI
+        candidates.append(CandidateText(sentence, f"{doc_id}:{i}", kind, tuple(matched)))
         span = sentences[i : i + window]
         if len(span) >= 2:
             text = " ".join(span)

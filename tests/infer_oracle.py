@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from specsyn.eval import Inference
-from specsyn.model import BOS_ID, CLS_ID, EOS_ID, PAD_ID, UNK_ID, GenerationResult, predicted_label
-from specsyn.model.network import GENERATE_MAX_TOKENS
+from specsyn.model.network import GENERATE_MAX_TOKENS, GenerationResult, predicted_label
+from specsyn.model.vocab import BOS_ID, CLS_ID, EOS_ID, PAD_ID, UNK_ID
 from specsyn.tagger import TAG_SLOTS, NonParsingOutput, TagClass, UnknownTagError, detag
 
 
@@ -40,7 +40,7 @@ def generate(model, h_c, tags) -> GenerationResult:
         if prev == EOS_ID:
             truncated = False
             break
-        tokens.append(model.vocab.token_of(prev))
+        tokens.append(model.vocab.tokens[prev])
     return GenerationResult(tokens=tuple(tokens), truncated=truncated)
 
 

@@ -21,22 +21,17 @@ from specsyn import dsl
 from specsyn.conformance import Verdict, check_spec, parse_config
 from specsyn.corpus import KeywordSet
 from specsyn.eval import evaluate, score_detection
-from specsyn.model import (
-    BOS_ID,
-    CLS_ID,
-    EOS_ID,
+from specsyn.model.checkpoint import save_checkpoint
+from specsyn.model.gradcheck import grad_check
+from specsyn.model.network import (
     Model,
     ModelConfig,
-    TrainConfig,
-    Vocab,
     detection_weights,
-    grad_check,
-    make_batch,
     predicted_label,
-    save_checkpoint,
-    train,
     weighted_ce,
 )
+from specsyn.model.train import TrainConfig, make_batch, train
+from specsyn.model.vocab import BOS_ID, CLS_ID, EOS_ID, Vocab
 from specsyn.synthdata import (
     build_dataset,
     compose_positive,

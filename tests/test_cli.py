@@ -12,14 +12,9 @@ import specsyn
 from conftest import run_cli, run_python
 from specsyn import cli, dsl
 from specsyn.dsl import parse_spec
-from specsyn.model import (
-    GenerationResult,
-    Model,
-    ModelConfig,
-    Vocab,
-    reserved_tokens,
-    save_checkpoint,
-)
+from specsyn.model.checkpoint import save_checkpoint
+from specsyn.model.network import GenerationResult, Model, ModelConfig
+from specsyn.model.vocab import Vocab, reserved_tokens
 
 DOC = (
     "Set user_port to a value greater than 1500.\n"

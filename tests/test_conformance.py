@@ -17,10 +17,10 @@ from specsyn.conformance import (
     check,
     check_spec,
     coerce_bool,
-    coerce_number,
     evaluate_rule,
     has_hard_violations,
     parse_config,
+    read_number,
     render_violations,
 )
 from specsyn.dsl import parse_spec, print_spec
@@ -190,16 +190,16 @@ class TestLookup:
 
 class TestCoercion:
     def test_numbers(self):
-        assert coerce_number("1433") == 1433.0
-        assert coerce_number("1,024") == 1024.0
-        assert coerce_number("512 MB") == 512.0
-        assert coerce_number("512M") == 512.0
-        assert coerce_number("-2.5") == -2.5
-        assert coerce_number("75%") == 75.0
+        assert read_number("1433") == (1433.0, None)
+        assert read_number("1,024") == (1024.0, None)
+        assert read_number("512 MB") == (512.0, "MB")
+        assert read_number("512M") == (512.0, "M")
+        assert read_number("-2.5") == (-2.5, None)
+        assert read_number("75%") == (75.0, "%")
 
     def test_number_failures(self):
         for raw in ("abc", "", "12.5.3", "1 2", "two"):
-            assert coerce_number(raw) is None
+            assert read_number(raw) is None
 
     def test_bools(self):
         for raw in ("on", "true", "enable", "enabled", "yes", "TRUE"):

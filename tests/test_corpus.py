@@ -15,6 +15,7 @@ from specsyn.corpus import (
     ExtractionType,
     KeywordSet,
     extract_candidates,
+    extraction_type,
     ingest,
     split_sentences,
 )
@@ -408,14 +409,25 @@ class TestExtractCandidates:
         assert [c.type for c in got] == [ExtractionType.SIMPLE]
 
     def test_complex_multi_on_two_keywords(self):
+        # the sentence alone names both keywords, so it is Complex-Multi too
         sents = [
             "Both have_ssl and have_open_ssl matter.",
             "They need to be set True.",
         ]
         got = extract_candidates(sents, KW, window=2)
-        multi = [c for c in got if c.type is ExtractionType.COMPLEX_MULTI]
-        assert len(multi) == 1
-        assert set(multi[0].keywords) == {"have_ssl", "have_open_ssl"}
+        assert [(c.source, c.type) for c in got] == [
+            ("doc:0", ExtractionType.COMPLEX_MULTI), ("doc:0-1", ExtractionType.COMPLEX_MULTI)]
+        assert all(set(c.keywords) == {"have_ssl", "have_open_ssl"} for c in got)
+
+    @pytest.mark.parametrize("n_keywords, n_sentences, expected", [
+        (1, 1, ExtractionType.SIMPLE),
+        (1, 2, ExtractionType.COMPLEX_SINGLE),
+        (1, 5, ExtractionType.COMPLEX_SINGLE),
+        (2, 1, ExtractionType.COMPLEX_MULTI),
+        (3, 2, ExtractionType.COMPLEX_MULTI),
+    ])
+    def test_extraction_type(self, n_keywords, n_sentences, expected):
+        assert extraction_type(n_keywords, n_sentences) is expected
 
     def test_every_candidate_mentions_a_keyword(self):
         sentences = self.SENTS * 3

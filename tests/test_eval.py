@@ -30,9 +30,12 @@ from specsyn.eval import (
     report_from_outcomes,
     score_detection,
 )
-from specsyn.model import CLS_ID, EOS_ID, PAD_ID, TAG_SLOTS, TAG_TOKEN_IDS, Model, SequenceTooLong, network, tokenize
-from specsyn.model.network import DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS
-from specsyn.tagger import TagClass, load_lexicons
+from specsyn.model import network
+from specsyn.model.network import (
+    DECODE_ROWS, ENCODE_TOKEN_BUDGET, GENERATE_MAX_TOKENS, Model, SequenceTooLong,
+)
+from specsyn.model.vocab import CLS_ID, EOS_ID, PAD_ID, TAG_TOKEN_IDS, tokenize
+from specsyn.tagger import TAG_SLOTS, TagClass, load_lexicons
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -315,7 +318,8 @@ class TestReport:
 @pytest.fixture(scope="module")
 def trained():
     """A small model trained to flag and generate its own samples."""
-    from specsyn.model import ModelConfig, TrainConfig, train
+    from specsyn.model.network import ModelConfig
+    from specsyn.model.train import TrainConfig, train
     from specsyn.synthdata import LabeledSample
 
     samples = []
@@ -373,7 +377,8 @@ class TestModelEvaluation:
         assert parsed_in_report == [0]
 
     def test_overlong_labeled_sample_is_rejected(self):
-        from specsyn.model import ModelConfig, Vocab, reserved_tokens
+        from specsyn.model.network import ModelConfig
+        from specsyn.model.vocab import Vocab, reserved_tokens
         from specsyn.synthdata import LabeledSample
 
         config = ModelConfig(d_model=8, blocks=1, heads=2, max_len=4)

@@ -12,12 +12,12 @@ import random
 import pytest
 
 from specsyn import dsl
-from specsyn.conformance import coerce_number, parse_config
+from specsyn.conformance import parse_config, read_number
 from specsyn.corpus import KeywordSet, load_keyword_file
 from specsyn.files import InputError
-from specsyn.model import TAG_SLOTS, Vocab, reserved_tokens, tokenize
+from specsyn.model.vocab import Vocab, reserved_tokens, tokenize
 from specsyn.synthdata import load_distractors
-from specsyn.tagger import TagClass, load_lexicons, spec_token, tag_text
+from specsyn.tagger import TAG_SLOTS, TagClass, load_lexicons, spec_token, tag_text
 
 # words the rule language reserves; a config file may still use them as keys
 RESERVED = ("and", "or", "in", "true", "false")
@@ -109,7 +109,7 @@ class TestOneGrammarPerConcept:
                     continue
                 seen += 1
                 printed = dsl.parse_spec(f"x > {spec_token(TagClass.NUM, surface)}")
-                assert coerce_number(surface) == printed.rules[0].values[0].magnitude, surface
+                assert read_number(surface) == (printed.rules[0].values[0].magnitude, None), surface
         assert seen > 500
 
     def test_tag_tokens_survive_tokenization(self, lex):
@@ -132,10 +132,10 @@ class TestOneGrammarPerConcept:
                 number = dsl.Number(magnitude, unit)
             except dsl.DslError:
                 number = None
-            observed = coerce_number(f"{dsl.format_number(magnitude)} {unit}")
+            observed = read_number(f"{dsl.format_number(magnitude)} {unit}")
             if number is not None:
                 accepted += 1
-                assert observed == magnitude, unit
+                assert observed == (magnitude, unit), unit
             elif unit not in UNIT_RESERVED:
                 assert observed is None, unit
         assert accepted > 500
@@ -146,7 +146,7 @@ class TestOneGrammarPerConcept:
         ]
         vocab = Vocab(reserved_tokens())
         ids = [vocab.id_of(token) for token in expected]
-        assert [vocab.token_of(i) for i in ids] == expected
+        assert [vocab.tokens[i] for i in ids] == expected
         assert ids == list(range(5, 5 + len(expected)))
 
 

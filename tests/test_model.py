@@ -7,39 +7,18 @@ import pytest
 import encoder_oracle
 from specsyn.corpus import ExtractionType
 from specsyn.dsl import Category
-from specsyn.model import (
-    BOS_ID,
+from specsyn.model.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from specsyn.model.gradcheck import grad_check
+from specsyn.model.network import (
     Batch,
     CATEGORIES,
-    CLS_ID,
-    EOS_ID,
-    Model,
-    ModelConfig,
-    ModelError,
-    PAD_ID,
-    SequenceTooLong,
-    TrainConfig,
-    UNK_ID,
-    Vocab,
-    build_vocab,
-    detection_weights,
-    grad_check,
-    load_checkpoint,
-    make_batch,
-    predicted_category,
-    predicted_label,
-    reserved_tokens,
-    save_checkpoint,
-    tokenize,
-    train,
-    weighted_ce,
-)
-from specsyn.model.checkpoint import CheckpointError
-from specsyn.model.network import (
     GENERATE_MAX_TOKENS,
     GENERATOR_HIDDEN,
-    _LN_EPS,
+    Model,
+    ModelConfig,
+    SequenceTooLong,
     _GELU_C,
+    _LN_EPS,
     _dot,
     _gelu,
     _gelu_grad,
@@ -48,8 +27,25 @@ from specsyn.model.network import (
     _scatter_rows,
     _sigmoid,
     _softmax,
+    detection_weights,
+    predicted_category,
+    predicted_label,
+    weighted_ce,
 )
-from specsyn.model.train import ADAM_CHUNK, BETA1, BETA2, EPS, Adam, epoch_batches
+from specsyn.model.train import (
+    ADAM_CHUNK, BETA1, BETA2, EPS, Adam, TrainConfig, build_vocab, epoch_batches, make_batch, train,
+)
+from specsyn.model.vocab import (
+    BOS_ID,
+    CLS_ID,
+    EOS_ID,
+    ModelError,
+    PAD_ID,
+    UNK_ID,
+    Vocab,
+    reserved_tokens,
+    tokenize,
+)
 from specsyn.synthdata import LabeledSample, build_dataset, default_distractors, default_library
 from specsyn.tagger import TAG_TOKEN_RE
 
@@ -153,7 +149,7 @@ class TestVocab:
 
     def test_id_token_roundtrip(self, vocab):
         for token in vocab.tokens:
-            assert vocab.token_of(vocab.id_of(token)) == token
+            assert vocab.tokens[vocab.id_of(token)] == token
 
     def test_targets_contribute_tokens(self):
         v = Vocab.build([], [("<keyword1>", ">", "<num1>")])
@@ -238,26 +234,24 @@ class TestHeads:
 
 
 class TestEncoder:
-    def test_encode_shape_and_finite(self, model, vocab):
-        h = model.encode([CLS_ID] + vocab.encode(TEXTS[0]))
+    def test_encode_shape_and_finite(self, model):
+        h = model.encode_text(TEXTS[0])
         assert h.shape == (SMALL.d_model,)
         assert np.all(np.isfinite(h))
 
-    def test_encode_requires_cls(self, model, vocab):
-        with pytest.raises(ModelError):
-            model.encode(vocab.encode(TEXTS[0]))
-
     def test_encode_rejects_long_sequences(self, model):
-        ids = [CLS_ID] + [5] * SMALL.max_len
+        # [CLS] and max_len tokens
         with pytest.raises(SequenceTooLong):
-            model.encode(ids)
+            model.encode_text(" ".join(["<keyword1>"] * SMALL.max_len))
 
     def test_encode_finite_on_random_sequences(self, model, vocab):
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(1, SMALL.max_len))
-            ids = [CLS_ID] + rng.integers(0, len(vocab), size=n).tolist()
-            h = model.encode(ids)
+            ids = rng.integers(0, len(vocab), size=n).tolist()
+            text = " ".join(vocab.tokens[i] for i in ids)
+            assert vocab.encode(text) == ids
+            h = model.encode_text(text)
             assert np.all(np.isfinite(h))
 
     def test_pad_content_never_changes_outputs(self, model, batch, weights):
@@ -587,8 +581,8 @@ class TestAdam:
 
 
 class TestGenerate:
-    def test_greedy_is_deterministic(self, model, vocab):
-        h = model.encode([CLS_ID] + vocab.encode(TEXTS[0]))
+    def test_greedy_is_deterministic(self, model):
+        h = model.encode_text(TEXTS[0])
         tags = {"keyword1": "a", "num1": "1", "unit1": "mb"}
         first = model.generate(h, tags)
         second = model.generate(h, tags)
@@ -621,8 +615,8 @@ class TestGenerate:
         assert list(result.tokens) == []
         assert not result.truncated
 
-    def test_control_tokens_never_appear(self, model, vocab):
-        h = model.encode([CLS_ID] + vocab.encode(TEXTS[1]))
+    def test_control_tokens_never_appear(self, model):
+        h = model.encode_text(TEXTS[1])
         result = model.generate(h, {"keyword1": "a", "keyword2": "b", "bool1": "on"})
         banned = {"[PAD]", "[UNK]", "[CLS]", "[BOS]", "[EOS]"}
         assert banned.isdisjoint(result.tokens)
@@ -781,7 +775,7 @@ class TestTraining:
         assert np.array_equal(loaded.encode_text(text), result.model.encode_text(text))
 
     def test_nan_loss_raises_divergence(self, monkeypatch):
-        from specsyn.model import DivergenceError
+        from specsyn.model.network import DivergenceError
 
         def poisoned(self, batch, weights):
             losses = {
@@ -920,8 +914,8 @@ class TestGradients:
     def test_training_losses_are_weighted_ce(self, model, batch, weights):
         """Training minimises the per-row loss `weighted_ce` defines."""
         probs = []
-        for ids, mask in zip(batch.ids, batch.mask):
-            h = model.encode(ids[mask])
+        for text in TEXTS:  # the batch's rows, in order
+            h = model.encode_text(text)
             probs.append((model.detect(h), model.classify_category(h)))
         losses = model.losses(batch, weights)
         expected = np.mean([
