@@ -17,6 +17,11 @@ A step makes few, large numpy calls: the encoder's weight products are
 model's parameters are views of. Only the backward products, by
 transposed weights, may round differently from the stacked products they
 replaced; every forward pass and every Adam update keeps its bits.
+
+`train` makes one `Workspace` per call over Adam's gradient slots: each
+step's encoder arrays reuse its buffers and each gradient is written to
+its slot, so a step reuses the memory of the steps before it. The arrays
+a step's `loss_and_grads` returns live only until the next step.
 """
 
 import math
@@ -32,6 +37,7 @@ from .network import (
     Model,
     ModelConfig,
     ModelError,
+    Workspace,
     check_lengths,
     detection_weights,
 )
@@ -91,25 +97,30 @@ class Adam:
     def __init__(self, params, lr):
         self.lr = float(lr)
         self.t = 0
-        self.names = list(params)
-        self.params = np.concatenate([params[name].reshape(-1) for name in self.names])
+        self.params = np.concatenate([params[name].reshape(-1) for name in params])
         self.grads = np.empty_like(self.params)
+        self.slots = {}  # name -> the parameter's view of self.grads
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         scratch = min(self.params.size, ADAM_CHUNK)
         self._scratch = (np.empty(scratch, self.params.dtype), np.empty(scratch, self.params.dtype))
         start = 0
-        for name in self.names:
-            size = params[name].size
-            params[name] = self.params[start : start + size].reshape(params[name].shape)
-            start += size
+        for name, tensor in params.items():
+            stop = start + tensor.size
+            params[name] = self.params[start:stop].reshape(tensor.shape)
+            self.slots[name] = self.grads[start:stop].reshape(tensor.shape)
+            start = stop
 
     def step(self, grads):
-        """One update from `grads`, which holds a gradient for every parameter."""
+        """One update from `grads`, which holds a gradient for every
+        parameter; a gradient that is its parameter's slot already, as a
+        `Workspace` over `slots` writes them, is not copied."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.grads)
+        for name, slot in self.slots.items():
+            if grads[name] is not slot:
+                np.copyto(slot, grads[name])
         for start in range(0, self.params.size, ADAM_CHUNK):
             chunk = slice(start, start + ADAM_CHUNK)
             p, g, m, v = self.params[chunk], self.grads[chunk], self.m[chunk], self.v[chunk]
@@ -199,6 +210,7 @@ def train(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
     ).cast(np.float32)
     optimizer = Adam(model.params, config.lr)
+    workspace = Workspace(optimizer.slots)
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
     loss_log: list[EpochLoss] = []
@@ -207,7 +219,7 @@ def train(
         sums = {"total": 0.0, "detection": 0.0, "generation": 0.0, "category": 0.0}
         for chosen in epoch_batches(lengths, config.batch_size, shuffle):
             batch = make_batch([rows[i] for i in chosen])
-            losses, grads = model.loss_and_grads(batch, weights)
+            losses, grads = model.loss_and_grads(batch, weights, workspace)
             if math.isnan(losses["total"]):
                 raise DivergenceError("training loss is NaN")
             optimizer.step(grads)

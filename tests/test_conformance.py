@@ -16,6 +16,7 @@ from specsyn.conformance import (
     Violation,
     check,
     check_spec,
+    _matches,
     coerce_bool,
     evaluate_rule,
     has_hard_violations,
@@ -23,9 +24,9 @@ from specsyn.conformance import (
     read_number,
     render_violations,
 )
-from specsyn.dsl import parse_spec, print_spec
+from specsyn.dsl import KeywordRef, parse_spec, print_spec
 from specsyn.files import InputError, read_text
-from specsyn.tagger import load_lexicons
+from specsyn.tagger import Lexicons, load_lexicons
 
 LEX = load_lexicons()
 
@@ -210,6 +211,22 @@ class TestCoercion:
     def test_bool_failures(self):
         for raw in ("maybe", "1433", ""):
             assert coerce_bool(raw, LEX) is None
+
+    def test_bools_fold_case_over_ascii_only(self):
+        """Lexicon lines fold over ASCII alone when loaded, so a non-ASCII
+        surface is stored as `ÉtÉ`; a config value folds the same way."""
+        lex = Lexicons(("ÉtÉ", "on"), (), ())
+        for raw in ("ÉtÉ", "ÉTÉ", " ÉtÉ "):
+            assert coerce_bool(raw, lex) is True
+        # É has no ASCII case, so é stays another letter
+        assert coerce_bool("été", lex) is None
+
+    def test_keywords_fold_case_over_ascii_only(self):
+        assert _matches("KEY_Size", None, KeywordRef("key_size"), LEX) is True
+        # the Kelvin sign lowercases to k under str.lower, but is no ASCII K
+        assert _matches("\u212aey_size", None, KeywordRef("key_size"), LEX) is False
+        assert verdict_of("mode == kafka", "mode = \u212aafka\n") == Verdict.VALUE_OUT_OF_RANGE
+        assert verdict_of("mode == kafka", "mode = KAFKA\n") is None
 
 
 def verdict_of(spec_text, config_text):

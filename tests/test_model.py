@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from specsyn.model.network import (
     Model,
     ModelConfig,
     SequenceTooLong,
+    Workspace,
     _GELU_C,
     _LN_EPS,
     _dot,
@@ -33,7 +35,8 @@ from specsyn.model.network import (
     weighted_ce,
 )
 from specsyn.model.train import (
-    ADAM_CHUNK, BETA1, BETA2, EPS, Adam, TrainConfig, build_vocab, epoch_batches, make_batch, train,
+    ADAM_CHUNK, BETA1, BETA2, EPS, Adam, TrainConfig, _encode_sample, build_vocab, epoch_batches,
+    make_batch, train,
 )
 from specsyn.model.vocab import (
     BOS_ID,
@@ -567,6 +570,63 @@ class TestAdam:
                 for name in params:
                     assert_same(params[name], before[name])
 
+    def test_gradients_written_to_the_buffer_equal_the_per_tensor_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in self.SHAPES.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        optimizer = Adam(params, 1e-3)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in self.SHAPES.items()}
+            for name, grad in grads.items():
+                optimizer.slots[name][...] = grad
+            assert all(slot.base is optimizer.grads for slot in optimizer.slots.values())
+            optimizer.step(optimizer.slots)
+            reference_adam_step(want, grads, m, v, t, 1e-3)
+            for name in params:
+                assert_same(params[name], want[name])
+
+    def test_a_parameter_without_a_gradient_gets_zeros(self, dtype, vocab, weights):
+        """Steps through a workspace over Adam's buffer: a head that gets no
+        gradient in a step is zero there, not the previous step's values."""
+        full = make_batch([
+            encode_row(vocab, TEXTS[0], 1, 0, TARGETS[0]),
+            encode_row(vocab, TEXTS[1], 1, 2, TARGETS[1]),
+            encode_row(vocab, TEXTS[2], 0, -1, ()),
+        ])
+        no_category = make_batch([
+            encode_row(vocab, TEXTS[1], 1, -1, TARGETS[1]),
+            encode_row(vocab, TEXTS[3], 0, -1, ()),
+        ])
+        no_positives = make_batch([
+            encode_row(vocab, TEXTS[2], 0, -1, ()),
+            encode_row(vocab, TEXTS[3], 0, -1, ()),
+        ])
+        model = Model.initialize(SMALL, vocab, rng_seed=3).cast(dtype)
+        optimizer = Adam(model.params, 1e-3)
+        workspace = Workspace(optimizer.slots)
+        want = {k: p.copy() for k, p in model.params.items()}
+        m = {k: np.zeros_like(p) for k, p in want.items()}
+        v = {k: np.zeros_like(p) for k, p in want.items()}
+        steps = [(full, ()), (no_category, ("category/",)), (full, ()),
+                 (no_positives, ("category/", "generator/"))]
+        for t, (batch, idle) in enumerate(steps, start=1):
+            plain = Model(SMALL, vocab, {k: p.copy() for k, p in want.items()})
+            want_losses, want_grads = plain.loss_and_grads(batch, weights)
+            losses, grads = model.loss_and_grads(batch, weights, workspace)
+            assert losses == want_losses
+            assert grads.keys() == want_grads.keys() == model.params.keys()
+            for name, grad in grads.items():
+                assert grad is optimizer.slots[name], name
+                assert_same(grad, want_grads[name])
+                if name.startswith(idle):
+                    assert not grad.any(), name
+            optimizer.step(grads)
+            reference_adam_step(want, want_grads, m, v, t, 1e-3)
+            for name in want:
+                assert_same(model.params[name], want[name])
+
     def test_params_become_views_of_one_buffer(self, dtype, vocab):
         model = Model.initialize(SMALL, vocab, rng_seed=0).cast(dtype)
         values = {k: p.copy() for k, p in model.params.items()}
@@ -777,7 +837,7 @@ class TestTraining:
     def test_nan_loss_raises_divergence(self, monkeypatch):
         from specsyn.model.network import DivergenceError
 
-        def poisoned(self, batch, weights):
+        def poisoned(self, batch, weights, workspace=None):
             losses = {
                 "total": float("nan"), "detection": 0.0,
                 "generation": 0.0, "category": 0.0,
@@ -791,6 +851,117 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ModelError):
             train([], TrainConfig(epochs=1), SMALL)
+
+
+def random_batch(rng, vocab_size, b, length):
+    """b rows padded to `length` tokens: the first row is that long, the
+    others 1 to `length` tokens; positives carry a random category (or
+    none) and a random target of 1-4 tokens."""
+    low = len(reserved_tokens())
+    rows = []
+    for row in range(b):
+        n = length if row == 0 else int(rng.integers(1, length + 1))
+        ids = [CLS_ID] + rng.integers(low, vocab_size, size=n - 1).tolist()
+        label = int(rng.integers(0, 2))
+        cat = int(rng.integers(-1, len(CATEGORIES))) if label else -1
+        target = rng.integers(low, vocab_size, size=int(rng.integers(1, 5))).tolist() if label else []
+        rows.append((ids, label, cat, [BOS_ID] + target, target + [EOS_ID]))
+    return make_batch(rows)
+
+
+def small_corpus(n=200, seed=3):
+    return build_dataset(default_library(), default_distractors(), n_total=n, rng_seed=seed).train
+
+
+# batch lengths that rise and fall, with a one-token batch ([CLS] alone)
+WORKSPACE_LENGTHS = (5, 9, 1, 12, 3, 12, 7, 2)
+
+
+class TestWorkspace:
+    """A workspace changes where a training step's arrays live, not a bit
+    of what it computes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batches_through_one_workspace_equal_steps_without_one(self, vocab, dtype):
+        rng = np.random.default_rng(2511)
+        weights = np.array([1.0, 2.5])
+        workspace = Workspace({})
+        sizes = set()
+        for trial in range(9):
+            config = ModelConfig(d_model=8, blocks=trial % 3 + 1, heads=(1, 2, 4)[trial // 3], max_len=12)
+            model = Model.initialize(config, vocab, rng_seed=trial).cast(dtype)
+            plain = Model(config, vocab, {k: p.copy() for k, p in model.params.items()})
+            # one workspace's buffers serve every model; the gradients go to
+            # each model's own Adam buffer
+            workspace.grads = Adam(model.params, 0.0).slots
+            for length in WORKSPACE_LENGTHS:
+                b = int(rng.integers(1, 10))
+                sizes.add(b)
+                batch = random_batch(rng, len(vocab), b, length)
+                context = f"trial {trial}: {config}, B={b}, L={length}"
+                want_losses, want_grads = plain.loss_and_grads(batch, weights)
+                losses, grads = model.loss_and_grads(batch, weights, workspace)
+                assert losses == want_losses, context
+                assert grads.keys() == want_grads.keys(), context
+                for name, grad in grads.items():
+                    assert grad.dtype == dtype, f"{context}, {name}"
+                    assert np.array_equal(grad, want_grads[name]), f"{context}, {name}"
+        assert {1, 9} <= sizes
+
+    def test_train_equals_steps_without_a_workspace(self):
+        samples = small_corpus()
+        config = TrainConfig(epochs=2, batch_size=16, rng_seed=4)
+        model_config = ModelConfig(d_model=16, blocks=2, heads=4, max_len=64)
+        result = train(samples, config, model_config)
+
+        # train's loop, by hand, with every array allocated
+        weights = detection_weights([s.label for s in samples])
+        vocab = build_vocab(samples)
+        rows = [_encode_sample(s, vocab) for s in samples]
+        lengths = [len(row[0]) for row in rows]
+        assert len(set(lengths)) > 5
+        model = Model.initialize(
+            model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])).cast(np.float32)
+        optimizer = Adam(model.params, config.lr)
+        shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
+        for epoch in range(config.epochs):
+            total = 0.0
+            for chosen in epoch_batches(lengths, config.batch_size, shuffle):
+                losses, grads = model.loss_and_grads(make_batch([rows[i] for i in chosen]), weights)
+                optimizer.step(grads)
+                total += losses["total"] * len(chosen)
+            assert result.loss_log[epoch].total == total / len(rows)
+        for name, tensor in model.params.items():
+            assert np.array_equal(result.model.params[name], tensor), name
+
+    def test_workspace_stops_growing_and_stays_below_a_step_peak(self, monkeypatch):
+        """The buffers grow in the first epoch only, which holds every batch
+        shape, and hold less than one step without them allocates at its
+        peak, on the batch of the most token slots."""
+        calls = []
+        real = Model.loss_and_grads
+
+        def recording(self, batch, weights, workspace=None):
+            out = real(self, batch, weights, workspace)
+            calls.append((self, batch, weights, workspace.nbytes))
+            return out
+
+        monkeypatch.setattr(Model, "loss_and_grads", recording)
+        train(small_corpus(), TrainConfig(epochs=3, batch_size=32, rng_seed=6),
+              ModelConfig(d_model=64, blocks=2, heads=4, max_len=64))
+        monkeypatch.undo()
+        per_epoch = len(calls) // 3
+        sizes = [size for *_, size in calls]
+        assert sizes[per_epoch:] == [sizes[-1]] * (2 * per_epoch)
+
+        model, batch, weights, _ = max(calls, key=lambda call: call[1].ids.size)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(batch, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sizes[-1] <= peak
 
 
 class TestCheckpoint:
