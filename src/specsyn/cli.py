@@ -16,8 +16,16 @@ import csv
 import functools
 import io
 import logging
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user sets another count: a trained model then
+# does not depend on the machine's cores, a busy core does not stall the
+# small products, and `workers.ordered_map` may fork. OpenBLAS reads these
+# once, when numpy loads, so they are set before the imports below load it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .conformance import (
     ConfigFormat,

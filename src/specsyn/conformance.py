@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from urllib.parse import urlparse
 
-from .corpus import ASCII_LOWER
+from .corpus import fold_ascii
 from .dsl import (
     KEYWORD_RE,
     UNIT_RE,
@@ -199,15 +199,9 @@ def read_number(raw: str) -> tuple[float, str | None] | None:
     return float(m.group().replace(",", "")), tail.group(1)
 
 
-def _fold(text: str) -> str:
-    """text with A-Z folded to a-z and every other character kept, as
-    lexicon lines are when loaded; str.lower does that to ASCII text, faster."""
-    return text.lower() if text.isascii() else text.translate(ASCII_LOWER)
-
-
 def coerce_bool(raw: str, lexicons: Lexicons) -> bool | None:
     """The polarity of a lexicon bool surface, or None for any other value."""
-    surface = _fold(raw.strip())
+    surface = fold_ascii(raw.strip())
     if surface not in lexicons.bool_surfaces:
         return None
     return bool_polarity(surface)
@@ -225,7 +219,7 @@ def _matches(observed: str, number, value, lexicons: Lexicons) -> bool | None:
         b = coerce_bool(observed, lexicons)
         return None if b is None else b == value.flag
     if isinstance(value, KeywordRef):
-        return _fold(observed.strip()) == _fold(value.name)
+        return fold_ascii(observed.strip()) == fold_ascii(value.name)
     if isinstance(value, Text):
         return observed.strip() == value.content
     raise TypeError(f"unsupported rule value {value!r}")

@@ -58,6 +58,13 @@ def extraction_type(n_keywords: int, n_sentences: int) -> ExtractionType:
 # Unicode folding would let "ſ" or "ı" stand for "s" or "i" in a keyword.
 ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
+
+def fold_ascii(text: str) -> str:
+    """text with A-Z folded to a-z and every other character kept;
+    str.lower does that to ASCII text, and faster than str.translate."""
+    return text.lower() if text.isascii() else text.translate(ASCII_LOWER)
+
+
 WORD_CHARS = frozenset(string.ascii_lowercase + string.digits + "_")
 # no keyword may touch one of these on either side
 _KEYWORD_EDGE = WORD_CHARS | {"-"}
@@ -88,7 +95,7 @@ class KeywordSet:
         pairs, longest first; among equal spellings the earlier keyword."""
         table = {}
         for kw in sorted(self.keywords, key=len, reverse=True):
-            low = kw.translate(ASCII_LOWER)
+            low = fold_ascii(kw)
             table.setdefault(TOKEN_RE.match(low).group(), []).append((low, kw))
         return table
 
@@ -115,7 +122,7 @@ class KeywordSet:
 
     def find(self, text: str) -> list:
         """Keywords present, spelled as in the set, in order of first occurrence."""
-        low = text.translate(ASCII_LOWER)
+        low = fold_ascii(text)
         starts = self.by_first_token
         found = {}
         end = 0

@@ -13,6 +13,7 @@ candidates, after tagging them and fitting them to the model's input.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -20,11 +21,17 @@ import numpy as np
 
 from .corpus import ExtractionType
 from .dsl import Category, Specification, print_spec
-from .model.network import check_lengths, predicted_label
+from .model.network import check_lengths, encode_plan, predicted_label
 from .model.vocab import CLS_ID, TAG_TOKEN_IDS, tokenize
 from .tagger import TAG_SLOTS, NonParsingOutput, UnknownTagError, detag, tag_text
+from .workers import ordered_map
 
 log = logging.getLogger(__name__)
+
+# An encoder call of the protocol model takes about 0.75 ms, and a forked
+# worker costs 2-5 ms, so below about 4 calls per worker a worker saves
+# nothing; this is twice that.
+ENCODE_MIN_PER_WORKER = 8
 
 
 class EvalError(Exception):
@@ -203,7 +210,11 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     float32 copy of the model, which leaves the caller's parameters as they
     are. Texts of similar token length are encoded together, every pooled
     vector of the call is detected at once, and flagged rows are decoded
-    together (see `Model.encode_groups` and `Model.generate_batch`).
+    together (see `encode_plan` and `Model.generate_batch`). The encoder
+    calls of the plan go through `workers.ordered_map`, spread over the CPUs
+    this process may use once there are ENCODE_MIN_PER_WORKER calls per
+    worker; detection and decoding run in this process over the pooled
+    vectors in plan order, so the results do not depend on the worker count.
     Every text must fit the model's max_len with [CLS]; `check_lengths`
     names the first that does not."""
     sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
@@ -211,14 +222,13 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     # a float32-trained model casts to float32 exactly, and the encoder's
     # elementwise kernels run several times as fast in it as in float64
     model = model.cast(np.float32)
-    order, pooled = [], []  # rows in encoder order and their pooled vectors
-    for rows, h_c in model.encode_groups(sequences):
-        order += rows
-        pooled.append(h_c)
+    plan = encode_plan(sequences)
     results = [Inference(False)] * len(items)
-    if not order:
+    if not plan:
         return results
-    pooled = np.concatenate(pooled)
+    order = [row for rows in plan for row in rows]  # rows in encoder order
+    pooled = np.concatenate(ordered_map(
+        functools.partial(model.encode_rows, sequences), plan, ENCODE_MIN_PER_WORKER))
     hits = [i for i, probs in enumerate(model.detect(pooled)) if predicted_label(probs)]
     if not hits:
         return results

@@ -10,14 +10,15 @@ the forward and the backward pass; its keys and values cover every position.
 Inference sorts texts by token length and encodes consecutive ones
 together, padding each to the longest of its call and masking the padded
 keys; it keeps no backward cache, and decodes flagged rows in batches
-(`encode_groups`, `generate_batch`). Greedy decoding bans the control
-tokens through a copy of the output bias and each row's absent tags through
-a bias on the 40 tag columns, so no step builds a vocabulary-wide mask. The
-encoder's weight products run as one 2-D GEMM per call (`_dot`), and each
-embedding gradient is one flat scatter (`_scatter_rows`). Training passes
-a `Workspace`: the encoder's forward and backward arrays then live in its
-reusable buffers and the gradients in the optimizer's flat buffer, so the
-arrays `Model.loss_and_grads` returns live only until its next call.
+(`encode_plan`, `encode_rows`, `generate_batch`). Greedy decoding bans the
+control tokens through a copy of the output bias and each row's absent tags
+through a bias on the 40 tag columns, so no step builds a vocabulary-wide
+mask. The encoder's weight products run as one 2-D GEMM per call
+(`_dot`), and each embedding gradient is one flat scatter
+(`_scatter_rows`). Training passes a `Workspace`: the encoder's forward and
+backward arrays then live in its reusable buffers and the gradients in the
+optimizer's flat buffer, so the arrays `Model.loss_and_grads` returns live
+only until its next call.
 Without one, as in inference, `losses` and `grad_check`, every array is
 allocated; the operations and their bits are the same either way.
 
@@ -793,28 +794,17 @@ class Model:
     def classify_category(self, h_c) -> np.ndarray:
         return self._head_probs("category", h_c)
 
-    def encode_groups(self, sequences):
-        """Pooled vectors of id sequences that start with [CLS]. The sequences
-        are sorted, stably, by length and consecutive ones share an encoder
-        call while rows x the longest length stays within ENCODE_TOKEN_BUDGET
-        (one row at least); shorter rows are padded with PAD_ID and their keys
-        masked. Yields (indices into `sequences`, h_c of shape
-        (len(indices), d)) per call."""
-        lengths = [len(ids) for ids in sequences]
-        order = sorted(range(len(sequences)), key=lengths.__getitem__)
-        start = 0
-        while start < len(order):
-            end = start + 1
-            while end < len(order) and (end + 1 - start) * lengths[order[end]] <= ENCODE_TOKEN_BUDGET:
-                end += 1
-            rows = order[start:end]
-            start = end
-            width = lengths[rows[-1]]
-            ids = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-            for row, i in enumerate(rows):
-                ids[row, :lengths[i]] = sequences[i]
-            mask = np.arange(width) < np.array([lengths[i] for i in rows])[:, None]
-            yield rows, self._encode_batch(ids, mask, keep_cache=False)[0]
+    def encode_rows(self, sequences, rows) -> np.ndarray:
+        """Pooled vectors of `sequences[i]` for i in `rows`, id sequences that
+        start with [CLS], in one encoder call: rows shorter than the longest
+        are padded with PAD_ID and their keys masked. `encode_plan` groups
+        the rows of inference's calls."""
+        lengths = [len(sequences[i]) for i in rows]
+        ids = np.full((len(rows), max(lengths)), PAD_ID, dtype=np.int64)
+        for row, i in enumerate(rows):
+            ids[row, :lengths[row]] = sequences[i]
+        mask = np.arange(ids.shape[1]) < np.array(lengths)[:, None]
+        return self._encode_batch(ids, mask, keep_cache=False)[0]
 
     def generate(self, h_c, tags) -> GenerationResult:
         """Greedy decode of one pooled vector; see `generate_batch`."""
@@ -868,6 +858,24 @@ class Model:
             GenerationResult(tuple([names[i] for i in ids[:length]]), row in truncated)
             for row, (ids, length) in enumerate(zip(chosen.tolist(), lengths.tolist()))
         ]
+
+
+def encode_plan(sequences) -> list[list[int]]:
+    """Inference's encoder calls, as lists of indices into `sequences`: the
+    sequences sorted, stably, by length, and consecutive ones sharing a call
+    while rows x the longest length stays within ENCODE_TOKEN_BUDGET (one
+    row at least)."""
+    lengths = [len(ids) for ids in sequences]
+    order = sorted(range(len(sequences)), key=lengths.__getitem__)
+    plan = []
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and (end + 1 - start) * lengths[order[end]] <= ENCODE_TOKEN_BUDGET:
+            end += 1
+        plan.append(order[start:end])
+        start = end
+    return plan
 
 
 def predicted_label(det_probs) -> bool:

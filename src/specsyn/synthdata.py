@@ -30,6 +30,7 @@ from .tagger import (
     tag_class_of,
     tag_text,
 )
+from .workers import ordered_map
 
 
 class SynthError(ValueError):
@@ -359,6 +360,12 @@ def _compose_negative(
 # ---------------------------------------------------------------------------
 # dataset assembly
 
+# A sample takes about 0.1 ms to compose, and a forked worker costs its
+# fork, 2-5 ms, and pickling, about 7 us per sample, so below about 65
+# samples per worker a worker saves nothing; this is twice that.
+COMPOSE_MIN_PER_WORKER = 128
+
+
 @dataclass
 class Dataset:
     train: list
@@ -407,7 +414,13 @@ def build_dataset(
     holdout_templates=(),
     lexicons: Lexicons | None = None,
 ) -> Dataset:
-    """Compose a stratified labeled dataset split into train and test."""
+    """Compose a stratified labeled dataset split into train and test.
+
+    Sample i is drawn from its own seed stream, `[rng_seed, 0, i]`, so the
+    samples are composed by `workers.ordered_map`, spread over the CPUs
+    this process may use once there are COMPOSE_MIN_PER_WORKER samples per
+    worker; the dataset is the same at any worker count, and an error is
+    the one the first failing sample raises."""
     if n_total < 10:
         raise InsufficientSeeds("n_total must be at least 10")
     if not 0 < positive_fraction < 1:
@@ -431,24 +444,23 @@ def build_dataset(
     for template, count in zip(negatives, _apportion(n_neg, [1] * len(negatives))):
         plans.extend([template] * count)
 
-    samples = []
-    plan_ids = []
-    for index, template in enumerate(plans):
+    def compose(index):
+        template = plans[index]
         stream = np.random.SeedSequence([rng_seed, 0, index])
         if isinstance(template, SeedTemplate):
-            sample = compose_positive(
+            return compose_positive(
                 template, distractors, stream, library.keywords, lexicons
             )
-        else:
-            sample = _compose_negative(
-                template,
-                distractors,
-                np.random.default_rng(stream),
-                library.keywords,
-                lexicons,
-            )
-        samples.append(sample)
-        plan_ids.append(template.id)
+        return _compose_negative(
+            template,
+            distractors,
+            np.random.default_rng(stream),
+            library.keywords,
+            lexicons,
+        )
+
+    samples = ordered_map(compose, range(len(plans)), COMPOSE_MIN_PER_WORKER)
+    plan_ids = [template.id for template in plans]
 
     perm = np.random.default_rng(np.random.SeedSequence([rng_seed, 1])).permutation(
         n_total

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import dsl
-from .corpus import ASCII_LOWER, TOKEN_RE, WORD_CHARS, KeywordSet
+from .corpus import TOKEN_RE, WORD_CHARS, KeywordSet, fold_ascii
 from .files import content_lines
 
 
@@ -94,7 +94,7 @@ class Lexicons:
 
 
 def _read_lexicon(path: Path) -> tuple:
-    return tuple(dict.fromkeys(line.translate(ASCII_LOWER) for _, line in content_lines(path)))
+    return tuple(dict.fromkeys(fold_ascii(line) for _, line in content_lines(path)))
 
 
 def load_lexicons() -> Lexicons:
@@ -156,7 +156,7 @@ def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandi
     class with the higher priority. Text between literals is copied as it
     stands."""
     lexicon, worth_a_look = _lookup(keywords, lexicons)
-    low = text.translate(ASCII_LOWER)
+    low = fold_ascii(text)
     ids: dict = {}  # (class, surface) -> tag id
     counters: dict = {}  # class -> tags so far
     tags: dict = {}

@@ -1,4 +1,5 @@
-"""Shared helpers for the tests that run specsyn in a child process.
+"""Test-session settings, and shared helpers for the tests that run
+specsyn in a child process.
 
 Those tests start the child in a temporary directory. A relative
 ``PYTHONPATH`` entry such as ``src`` would then resolve under that
@@ -12,7 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+# One BLAS thread, as the command line runs, unless the caller sets another:
+# in-process training then gives the bits it gives there, and a busy core
+# does not stall it. OpenBLAS reads these when numpy loads, which is later.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import specsyn
+from specsyn import workers
 
 SPECSYN_ROOT = Path(specsyn.__file__).resolve().parent.parent
 
@@ -41,3 +49,10 @@ def run_python(*args, cwd, timeout=600):
 def run_cli(*args, cwd, timeout=600):
     """Run ``python -m specsyn.cli`` with ``args`` in ``cwd``."""
     return run_python("-m", "specsyn.cli", *args, cwd=cwd, timeout=timeout)
+
+
+def run_map_serially(monkeypatch):
+    """Make `workers.ordered_map` run every item in this process, as on one
+    CPU: a function monkeypatched to record its calls sees none of those a
+    forked worker makes."""
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 
-from specsyn.corpus import KeywordSet
+from specsyn.corpus import ASCII_LOWER, KeywordSet
 from specsyn.tagger import (
     _PRIORITY,
-    ASCII_LOWER,
     NUMBER_RE,
     Lexicons,
     TagClass,

@@ -9,6 +9,7 @@ import pytest
 
 import infer_oracle
 import tag_oracle
+from conftest import run_map_serially
 from specsyn import dsl
 from specsyn import eval as eval_module
 from specsyn.corpus import ExtractionType, KeywordSet, extract_candidates, ingest, load_keyword_file
@@ -445,6 +446,7 @@ def random_items(rng, n, max_words=12):
 
 def encoder_calls(monkeypatch):
     """Record the (ids, mask) of every `Model._encode_batch` call."""
+    run_map_serially(monkeypatch)
     calls = []
     real = Model._encode_batch
 
@@ -500,7 +502,9 @@ class TestInferBatch:
         items = random_items(random.Random(3), 200, max_words=model.config.max_len - 1)
         sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
         calls = encoder_calls(monkeypatch)
-        groups = [rows for rows, _ in model.encode_groups(sequences)]
+        groups = network.encode_plan(sequences)
+        for rows in groups:
+            model.encode_rows(sequences, rows)
         assert len(groups) == len(calls) < len(items)
         # every row once, in a stable sort by length
         assert [i for rows in groups for i in rows] == sorted(
@@ -589,8 +593,8 @@ class TestInferBatch:
 
         def pooled(m):
             h = np.zeros((len(items), m.config.d_model), dtype=m.params["pool/w1"].dtype)
-            for rows, h_c in m.encode_groups(sequences):
-                h[rows] = h_c
+            for rows in network.encode_plan(sequences):
+                h[rows] = m.encode_rows(sequences, rows)
             return h
 
         wide_h, narrow_h = pooled(model), pooled(narrow)

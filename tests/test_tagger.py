@@ -3,6 +3,7 @@ import random
 import pytest
 
 import tag_oracle
+from conftest import run_map_serially
 from specsyn import synthdata, tagger
 from specsyn.corpus import KeywordSet
 from specsyn.dsl import parse_spec
@@ -238,6 +239,7 @@ class TestOracle:
             assert tag_text(text, self.EDGE_KW, self.EDGE_LEX) == want, text
 
     def test_every_composed_text(self, monkeypatch, lex):
+        run_map_serially(monkeypatch)
         seen = []
 
         def checked(text, keywords, lexicons):
