@@ -15,12 +15,10 @@ control tokens through a copy of the output bias and each row's absent tags
 through a bias on the 40 tag columns, so no step builds a vocabulary-wide
 mask. The encoder's weight products run as one 2-D GEMM per call
 (`_dot`), and each embedding gradient is one flat scatter
-(`_scatter_rows`). Training passes a `Workspace`: the encoder's forward and
-backward arrays then live in its reusable buffers and the gradients in the
-optimizer's flat buffer, so the arrays `Model.loss_and_grads` returns live
-only until its next call.
-Without one, as in inference, `losses` and `grad_check`, every array is
-allocated; the operations and their bits are the same either way.
+(`_scatter_rows`). Training, inference, `losses` and `grad_check` run the
+same passes, which allocate every array; training hands `loss_and_grads`
+the optimizer's gradient slots, so each gradient is written straight into
+its slot of the optimizer's flat buffer.
 
 Every parameter lives in a flat name -> array mapping and every gradient
 is derived by hand, so the complete network can be checked against central
@@ -31,7 +29,6 @@ float32, while gradient checks and checkpoints use float64.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -155,8 +152,8 @@ def detection_weights(labels) -> np.ndarray:
     return labels.size / (2.0 * counts.astype(np.float64))
 
 
-def _softmax(x, out=None):
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+def _softmax(x):
+    e = np.subtract(x, x.max(axis=-1, keepdims=True))
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -182,33 +179,31 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# The elementwise kernels below write their outputs and at most one scratch
-# array the size of their input, and work in place on those. Each computes
-# 0.5 * x * (1 + t) and the like in the order the formula states, swapping
-# only the operands of a + or a *, so its results are bit for bit those of
-# the plain expression. Each output or scratch array is allocated unless the
-# caller passes one (`out`, `scratch` and the like), which must not overlap
-# the inputs.
+# The elementwise kernels below allocate their outputs and at most one
+# scratch buffer the size of their input, and work in place on those. Each
+# computes 0.5 * x * (1 + t) and the like in the order the formula states,
+# swapping only the operands of a + or a *, so its results are bit for bit
+# those of the plain expression.
 
 
-def _gelu(x, out=None, t=None, scratch=None):
+def _gelu(x):
     """0.5 * x * (1 + t) with t = tanh(C * (x + 0.044715 * x^3)); returns both."""
-    s = np.multiply(x, x, out=scratch)
+    s = np.multiply(x, x)
     s *= 0.044715
     s *= x
     s += x
     s *= _GELU_C
-    t = np.tanh(s, out=t)
+    t = np.tanh(s)
     np.add(t, 1.0, out=s)
-    y = np.multiply(x, 0.5, out=out)
+    y = np.multiply(x, 0.5)
     y *= s
     return y, t
 
 
-def _gelu_grad(x, t, out=None, scratch=None):
+def _gelu_grad(x, t):
     """(1 - t^2) * C * (0.5 * x + 0.0670725 * x^3) + 0.5 * (1 + t)."""
-    v = np.multiply(x, 0.5, out=scratch)
-    u = np.multiply(x, 0.0670725, out=out)
+    v = np.multiply(x, 0.5)
+    u = np.multiply(x, 0.0670725)
     u *= x
     u *= x
     v += u
@@ -230,11 +225,11 @@ def _mean(x):
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
-def _layer_norm(x, scale, shift, out=None, xhat=None):
+def _layer_norm(x, scale, shift):
     """xhat * scale + shift with xhat = (x - mean) / sqrt(var + eps);
     returns it and the cache (xhat, 1 / sqrt(var + eps))."""
-    xhat = np.subtract(x, _mean(x), out=xhat)
-    y = np.multiply(xhat, xhat, out=out)
+    xhat = np.subtract(x, _mean(x))
+    y = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(_mean(y) + _LN_EPS)
     xhat *= inv
     np.multiply(xhat, scale, out=y)
@@ -242,15 +237,15 @@ def _layer_norm(x, scale, shift, out=None, xhat=None):
     return y, (xhat, inv)
 
 
-def _layer_norm_grad(dy, cache, scale, grads, prefix, out=None, scratch=None):
+def _layer_norm_grad(dy, cache, scale, grads, prefix):
     """inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
     dxhat = dy * scale; adds the scale and shift gradients to `grads`."""
     xhat, inv = cache
     axes = tuple(range(dy.ndim - 1))
-    tmp = np.multiply(dy, xhat, out=scratch)
+    tmp = np.multiply(dy, xhat)
     _acc(grads, prefix + "/scale", tmp.sum(axis=axes))
     _acc(grads, prefix + "/shift", dy.sum(axis=axes))
-    dx = np.multiply(dy, scale, out=out)
+    dx = np.multiply(dy, scale)
     mean1 = _mean(dx)
     np.multiply(dx, xhat, out=tmp)
     mean2 = _mean(tmp)
@@ -294,48 +289,14 @@ def _zeros(grads, name, like):
     return grads[name]
 
 
-class Workspace:
-    """Named, grow-only flat buffers for the arrays of a training step.
-
-    Without one, the C allocator returns the megabytes a step frees to the
-    kernel, and the next step faults them in again, page by page. A
-    workspace keeps that memory: `take` returns a view of a buffer that
-    grows only when a step needs more of it. `grads` maps each parameter's
-    name to the array its gradient is written to (`Adam.slots`). The next
-    step through a workspace overwrites the arrays the last one returned.
-    """
-
-    def __init__(self, grads):
-        self.grads = grads
-        self._buffers = {}
-
-    def take(self, name, shape, dtype) -> np.ndarray:
-        """Buffer `name`, a string or a tuple of strings and ints, as a
-        C-ordered array of `shape` and `dtype`, holding whatever was last
-        written there."""
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-
 def _split_heads(x, heads):
     b, length, d = x.shape
     return x.reshape(b, length, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x, out=None):
+def _merge_heads(x):
     b, heads, length, dh = x.shape
-    if out is None:
-        return x.transpose(0, 2, 1, 3).reshape(b, length, heads * dh)
-    np.copyto(out.reshape(b, length, heads, dh), x.transpose(0, 2, 1, 3))
-    return out
+    return x.transpose(0, 2, 1, 3).reshape(b, length, heads * dh)
 
 
 def _matgrad(x, dy):
@@ -343,7 +304,7 @@ def _matgrad(x, dy):
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _dot(x, w, out=None):
+def _dot(x, w):
     """x @ w for x of shape (B, L, n) and a weight w (n, m) or its transpose.
 
     With L >= 2 this is one 2-D GEMM, (B * L, n) @ (n, m). numpy's stacked
@@ -351,26 +312,21 @@ def _dot(x, w, out=None):
     backward product; for a C-ordered w the 2-D GEMM gives the stacked
     product's bits, so forward outputs stay the same. A one-row input
     (L = 1: the last block's [CLS] row) keeps the stacked product, whose
-    bits differ there from the 2-D GEMM's. The product is written to `out`,
-    a C-ordered (B, L, m) array, if given.
+    bits differ there from the 2-D GEMM's.
     """
     b, length, n = x.shape
     if length < 2:
-        return np.matmul(x, w, out=out)
-    m = w.shape[1]
-    flat_out = None if out is None else out.reshape(b * length, m)
-    y = np.matmul(x.reshape(b * length, n), w, out=flat_out)
-    return y.reshape(b, length, m)
+        return x @ w
+    return (x.reshape(b * length, n) @ w).reshape(b, length, w.shape[1])
 
 
-def _scatter_rows(table, ids, rows, index=None):
+def _scatter_rows(table, ids, rows):
     """np.add.at(table, ids, rows), bit for bit, for a C-contiguous (V, d)
     table, ids of any shape and rows of shape ids.shape + (d,): one flat
     add.at of one index per element, which adds to each cell in the same
-    order and is several times faster than the row-wise one. The flat
-    index is written to `index`, an int64 array of ids.size x d, if given."""
+    order and is several times faster than the row-wise one."""
     d = table.shape[1]
-    flat = np.add(ids.reshape(-1, 1) * d, np.arange(d), out=index)
+    flat = ids.reshape(-1, 1) * d + np.arange(d)
     np.add.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
@@ -451,154 +407,108 @@ class Model:
 
     # ------------------------------------------------------------------ encoder
 
-    def _encode_batch(self, ids, mask, keep_cache=True, workspace=None):
+    def _encode_batch(self, ids, mask, keep_cache=True):
         """Pooled [CLS] vectors h_c of shape (B, d), and the cache that
         `_encode_backward` needs, or None without keep_cache: inference then
-        frees each block's transients as the next block replaces them. With
-        a `Workspace`, every array of the pass but h_c lives in one of its
-        buffers: each block's cache in buffers of its own, the transients in
-        buffers that the backward pass uses as scratch."""
+        frees each block's transients as the next block replaces them."""
         p, cfg = self.params, self.config
-        b, length = ids.shape
+        length = ids.shape[1]
         if length > cfg.max_len:
             raise SequenceTooLong(
                 f"sequence length {length} exceeds max_len {cfg.max_len}"
             )
-        dtype, d, heads = p["embed/tokens"].dtype, cfg.d_model, cfg.heads
-
-        # `take and take(...)` is None without a workspace, which as the `out`
-        # of a numpy call makes it allocate the array
-        take = workspace and partial(workspace.take, dtype=dtype)
-
-        full = (b, length, d)
-        # the ids are vocabulary ids, so clipping changes nothing; unlike the
-        # default mode, it writes straight to `out`
-        h = np.take(p["embed/tokens"], ids, axis=0, out=take and take(("x", 0), full), mode="clip")
-        h += p["embed/positions"][:length]
+        emb = p["embed/tokens"][ids]
+        emb += p["embed/positions"][:length]
         # -inf on padded keys; a call without padding adds nothing
         key_bias = None if mask.all() else (
-            np.where(mask[:, None, None, :], 0.0, -np.inf).astype(dtype, copy=False))
-        scale = 1.0 / math.sqrt(d // heads)
+            np.where(mask[:, None, None, :], 0.0, -np.inf).astype(emb.dtype, copy=False))
+        scale = 1.0 / math.sqrt(cfg.d_model // cfg.heads)
 
+        h = emb
         blocks = []
         for i in range(cfg.blocks):
             blk = f"block{i}"
             # the last block computes the [CLS] row alone, the only row that
             # leaves it; keys and values still cover every position. The
             # full slice that earlier blocks take is a view, not a copy.
-            n = 1 if i == cfg.blocks - 1 else length
-            rows, narrow, wide = slice(0, n), (b, n, d), (b, n, 4 * d)
-            a, ln1 = _layer_norm(h, p[f"{blk}/ln1/scale"], p[f"{blk}/ln1/shift"],
-                                 out=take and take((blk, "a"), full),
-                                 xhat=take and take((blk, "xhat1"), full))
-            q = _dot(a[:, rows], p[f"{blk}/attn/wq"], out=take and take((blk, "q"), narrow))
-            qh = _split_heads(q, heads)
-            k = _dot(a, p[f"{blk}/attn/wk"], out=take and take((blk, "k"), full))
-            v = _dot(a, p[f"{blk}/attn/wv"], out=take and take((blk, "v"), full))
-            kh, vh = _split_heads(k, heads), _split_heads(v, heads)
-            scores = np.matmul(qh, kh.transpose(0, 1, 3, 2),
-                               out=take and take((blk, "att"), (b, heads, n, length)))
+            rows = slice(0, 1) if i == cfg.blocks - 1 else slice(None)
+            a, ln1 = _layer_norm(h, p[f"{blk}/ln1/scale"], p[f"{blk}/ln1/shift"])
+            qh = _split_heads(_dot(a[:, rows], p[f"{blk}/attn/wq"]), cfg.heads)
+            kh = _split_heads(_dot(a, p[f"{blk}/attn/wk"]), cfg.heads)
+            vh = _split_heads(_dot(a, p[f"{blk}/attn/wv"]), cfg.heads)
+            scores = qh @ kh.transpose(0, 1, 3, 2)
             scores *= scale
             if key_bias is not None:
                 scores += key_bias
-            att = _softmax(scores, out=scores)
-            ctx = _merge_heads(np.matmul(att, vh, out=take and take("d0", qh.shape)),
-                               out=take and take((blk, "ctx"), narrow))
-            h1 = _dot(ctx, p[f"{blk}/attn/wo"], out=take and take("d1", narrow))
+            att = _softmax(scores)
+            ctx = _merge_heads(att @ vh)
+            h1 = _dot(ctx, p[f"{blk}/attn/wo"])
             h1 += h[:, rows]
-            f, ln2 = _layer_norm(h1, p[f"{blk}/ln2/scale"], p[f"{blk}/ln2/shift"],
-                                 out=take and take((blk, "f"), narrow),
-                                 xhat=take and take((blk, "xhat2"), narrow))
-            u = _dot(f, p[f"{blk}/ffn/w1"], out=take and take((blk, "u"), wide))
+            f, ln2 = _layer_norm(h1, p[f"{blk}/ln2/scale"], p[f"{blk}/ln2/shift"])
+            u = _dot(f, p[f"{blk}/ffn/w1"])
             u += p[f"{blk}/ffn/b1"]
-            r, gelu_t = _gelu(u, out=take and take((blk, "r"), wide),
-                              t=take and take((blk, "t"), wide), scratch=take and take("w0", wide))
-            # block i reads h from buffer (x, i % 2) and writes the next to the other
-            h = _dot(r, p[f"{blk}/ffn/w2"], out=take and take(("x", (i + 1) % 2), narrow))
+            r, gelu_t = _gelu(u)
+            h = _dot(r, p[f"{blk}/ffn/w2"])
             h += h1
             h += p[f"{blk}/ffn/b2"]
             if keep_cache:
                 blocks.append((rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2))
 
-        normed, final_ln = _layer_norm(h, p["final_ln/scale"], p["final_ln/shift"],
-                                       out=take and take(("final", "normed"), (b, 1, d)),
-                                       xhat=take and take(("final", "xhat"), (b, 1, d)))
+        normed, final_ln = _layer_norm(h, p["final_ln/scale"], p["final_ln/shift"])
         h_cls = normed[:, 0]
         h_c = np.tanh(h_cls @ p["pool/w1"])
         cache = (ids, length, scale, blocks, final_ln, h_cls, h_c) if keep_cache else None
         return h_c, cache
 
-    def _encode_backward(self, dh_c, cache, grads, workspace=None):
-        """Add the encoder's gradients for upstream dh_c to `grads`. With a
-        `Workspace`, every array but the gradients lives in its scratch
-        buffers, each reused once the array in it is dead; the input
-        gradient of block i goes to buffer (x, i % 2), which holds no array
-        that the block still reads."""
+    def _encode_backward(self, dh_c, cache, grads):
+        """Add the encoder's gradients for upstream dh_c to `grads`."""
         p, cfg = self.params, self.config
         ids, length, scale, blocks, final_ln, h_cls, h_c = cache
-        b, d, heads = ids.shape[0], cfg.d_model, cfg.heads
-
-        take = workspace and partial(workspace.take, dtype=h_c.dtype)
 
         dpooled = dh_c * (1.0 - h_c * h_c)
         _acc(grads, "pool/w1", h_cls.T @ dpooled)
         dnormed = (dpooled @ p["pool/w1"].T)[:, None]
-        dh = _layer_norm_grad(dnormed, final_ln, p["final_ln/scale"], grads, "final_ln",
-                              out=take and take(("x", cfg.blocks % 2), (b, 1, d)),
-                              scratch=take and take("d0", (b, 1, d)))
+        dh = _layer_norm_grad(dnormed, final_ln, p["final_ln/scale"], grads, "final_ln")
 
         for i in reversed(range(cfg.blocks)):
             blk = f"block{i}"
             rows, a, qh, kh, vh, att, ctx, ln1, f, u, gelu_t, r, ln2 = blocks[i]
-            n = u.shape[1]
-            narrow, wide, full = (b, n, d), (b, n, 4 * d), (b, length, d)
 
             _acc(grads, f"{blk}/ffn/w2", _matgrad(r, dh))
             _acc(grads, f"{blk}/ffn/b2", dh.sum(axis=(0, 1)))
-            gelu_grad = _gelu_grad(u, gelu_t, out=take and take("w0", wide),
-                                   scratch=take and take("w1", wide))
-            du = _dot(dh, p[f"{blk}/ffn/w2"].T, out=take and take("w1", wide))
-            du *= gelu_grad
+            du = _dot(dh, p[f"{blk}/ffn/w2"].T)
+            du *= _gelu_grad(u, gelu_t)
             _acc(grads, f"{blk}/ffn/w1", _matgrad(f, du))
             _acc(grads, f"{blk}/ffn/b1", du.sum(axis=(0, 1)))
-            df = _dot(du, p[f"{blk}/ffn/w1"].T, out=take and take("d0", narrow))
-            dh1 = _layer_norm_grad(df, ln2, p[f"{blk}/ln2/scale"], grads, f"{blk}/ln2",
-                                   out=take and take("d1", narrow),
-                                   scratch=take and take("d2", narrow))
+            df = _dot(du, p[f"{blk}/ffn/w1"].T)
+            dh1 = _layer_norm_grad(df, ln2, p[f"{blk}/ln2/scale"], grads, f"{blk}/ln2")
             dh1 += dh
 
             _acc(grads, f"{blk}/attn/wo", _matgrad(ctx, dh1))
-            dctx = _dot(dh1, p[f"{blk}/attn/wo"].T, out=take and take("d0", narrow))
-            dctx = _split_heads(dctx, heads)
-            dvh = np.matmul(att.transpose(0, 1, 3, 2), dctx, out=take and take("d2", vh.shape))
+            dctx = _split_heads(_dot(dh1, p[f"{blk}/attn/wo"].T), cfg.heads)
+            dvh = att.transpose(0, 1, 3, 2) @ dctx
             # the gradient of att, turned into that of the scores in place
-            ds = np.matmul(dctx, vh.transpose(0, 1, 3, 2), out=take and take("w0", att.shape))
-            ds_att = np.multiply(ds, att, out=take and take("w1", att.shape))
-            ds -= ds_att.sum(axis=-1, keepdims=True)
+            ds = dctx @ vh.transpose(0, 1, 3, 2)
+            ds -= (ds * att).sum(axis=-1, keepdims=True)
             ds *= att
-            dqh = np.matmul(ds, kh, out=take and take("d3", qh.shape))
+            dqh = ds @ kh
             dqh *= scale
-            dkh = np.matmul(ds.transpose(0, 1, 3, 2), qh, out=take and take("d4", kh.shape))
+            dkh = ds.transpose(0, 1, 3, 2) @ qh
             dkh *= scale
-            dq = _merge_heads(dqh, out=take and take("d0", narrow))
-            dk = _merge_heads(dkh, out=take and take("d3", full))
-            dv = _merge_heads(dvh, out=take and take("d4", full))
+            dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
             _acc(grads, f"{blk}/attn/wq", _matgrad(a[:, rows], dq))
             _acc(grads, f"{blk}/attn/wk", _matgrad(a, dk))
             _acc(grads, f"{blk}/attn/wv", _matgrad(a, dv))
             # the query and the residual reach only `rows`; the terms add in
             # the order dq, dk, dv, as for a block that computes every row
-            da = _dot(dk, p[f"{blk}/attn/wk"].T, out=take and take("d2", full))
-            da[:, rows] += _dot(dq, p[f"{blk}/attn/wq"].T, out=take and take("d3", narrow))
-            da += _dot(dv, p[f"{blk}/attn/wv"].T, out=take and take("d0", full))
-            dh = _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1",
-                                  out=take and take(("x", i % 2), full),
-                                  scratch=take and take("d3", full))
+            da = _dot(dk, p[f"{blk}/attn/wk"].T)
+            da[:, rows] += _dot(dq, p[f"{blk}/attn/wq"].T)
+            da += _dot(dv, p[f"{blk}/attn/wv"].T)
+            dh = _layer_norm_grad(da, ln1, p[f"{blk}/ln1/scale"], grads, f"{blk}/ln1")
             dh[:, rows] += dh1
 
         _zeros(grads, "embed/positions", p["embed/positions"])[:length] += dh.sum(axis=0)
-        _scatter_rows(_zeros(grads, "embed/tokens", p["embed/tokens"]), ids, dh,
-                      index=take and take("w0", (ids.size, d), dtype=np.int64))
+        _scatter_rows(_zeros(grads, "embed/tokens", p["embed/tokens"]), ids, dh)
 
     # ------------------------------------------------------------------ heads
 
@@ -704,10 +614,9 @@ class Model:
 
     # ------------------------------------------------------------------ losses
 
-    def _run(self, batch: Batch, weights, want_grads: bool, workspace=None):
+    def _run(self, batch: Batch, weights, want_grads: bool, slots=None):
         b = batch.size
-        h_c, enc_cache = self._encode_batch(
-            batch.ids, batch.mask, keep_cache=want_grads, workspace=workspace)
+        h_c, enc_cache = self._encode_batch(batch.ids, batch.mask, keep_cache=want_grads)
         weights = np.asarray(weights, dtype=h_c.dtype)
 
         det_logits, det_cache = self._mlp_forward("detect", h_c)
@@ -747,7 +656,7 @@ class Model:
         if not want_grads:
             return losses, None
 
-        grads = {} if workspace is None else _Grads(workspace.grads)
+        grads = {} if slots is None else _Grads(slots)
         dh_c = np.zeros_like(h_c)
 
         # each head's mean: times 1/n, which can differ from / n in the last bit
@@ -761,7 +670,7 @@ class Model:
         if gen_rows.size:
             dh_c[gen_rows] += self._gen_backward(gen_cache, batch.gen_in[gen_rows], grads)
 
-        self._encode_backward(dh_c, enc_cache, grads, workspace)
+        self._encode_backward(dh_c, enc_cache, grads)
         for name, tensor in self.params.items():
             _zeros(grads, name, tensor)
         return losses, grads
@@ -769,12 +678,11 @@ class Model:
     def losses(self, batch: Batch, weights):
         return self._run(batch, weights, want_grads=False)[0]
 
-    def loss_and_grads(self, batch: Batch, weights, workspace=None):
-        """The batch's losses and a gradient for every parameter. With a
-        `Workspace`, the encoder runs in its buffers and the gradients are
-        written to its `grads` arrays; every array returned then lives only
-        until the next call with that workspace."""
-        return self._run(batch, weights, want_grads=True, workspace=workspace)
+    def loss_and_grads(self, batch: Batch, weights, slots=None):
+        """The batch's losses and a gradient for every parameter. With
+        `slots` (name -> array, such as `Adam.slots`), each gradient is
+        written to its slot, and the next call with them overwrites it."""
+        return self._run(batch, weights, want_grads=True, slots=slots)
 
     # ------------------------------------------------------------------ inference
 

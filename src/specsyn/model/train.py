@@ -18,12 +18,14 @@ model's parameters are views of. Only the backward products, by
 transposed weights, may round differently from the stacked products they
 replaced; every forward pass and every Adam update keeps its bits.
 
-`train` makes one `Workspace` per call over Adam's gradient slots: each
-step's encoder arrays reuse its buffers and each gradient is written to
-its slot, so a step reuses the memory of the steps before it. The arrays
-a step's `loss_and_grads` returns live only until the next step.
+Each step writes its gradients straight into Adam's gradient slots, and
+allocates every other array afresh. So that the next step reuses that
+memory rather than faulting new pages in, `train` first asks glibc's
+allocator to keep what a process frees (`keep_freed_memory`).
 """
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ from .network import (
     Model,
     ModelConfig,
     ModelError,
-    Workspace,
     check_lengths,
     detection_weights,
 )
@@ -78,6 +79,33 @@ BETA2 = 0.999
 EPS = 1e-8
 # Adam.step updates at most this many elements per pass of its kernels
 ADAM_CHUNK = 65536
+# glibc's mallopt parameters M_MMAP_THRESHOLD and M_TRIM_THRESHOLD
+# (malloc.h), and the values `keep_freed_memory` gives them: blocks up to
+# 32 MiB, the 64-bit maximum, come from the heap, which keeps up to 1 GiB
+# of free memory at its top instead of handing it back to the kernel
+KEEP_FREED = ((-3, 32 << 20), (-1, 1 << 30))
+
+
+def _mallopt():
+    """glibc's `mallopt(param, value)`, or None where the C library has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Make the C allocator keep the memory this process frees, so a training
+    step reuses the pages of the steps before it instead of faulting new
+    ones in; True if both settings (`KEEP_FREED`) took. It runs once per
+    process, and the setting is process-wide and stays. Without `mallopt`,
+    or where it refuses a value, memory is managed as before."""
+    mallopt = _mallopt()
+    return mallopt is not None and all([mallopt(*setting) for setting in KEEP_FREED])
 
 
 class Adam:
@@ -113,8 +141,8 @@ class Adam:
 
     def step(self, grads):
         """One update from `grads`, which holds a gradient for every
-        parameter; a gradient that is its parameter's slot already, as a
-        `Workspace` over `slots` writes them, is not copied."""
+        parameter; a gradient that is its parameter's slot already, as
+        `Model.loss_and_grads(..., slots)` writes them, is not copied."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -210,7 +238,7 @@ def train(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
     ).cast(np.float32)
     optimizer = Adam(model.params, config.lr)
-    workspace = Workspace(optimizer.slots)
+    keep_freed_memory()
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
     loss_log: list[EpochLoss] = []
@@ -219,7 +247,7 @@ def train(
         sums = {"total": 0.0, "detection": 0.0, "generation": 0.0, "category": 0.0}
         for chosen in epoch_batches(lengths, config.batch_size, shuffle):
             batch = make_batch([rows[i] for i in chosen])
-            losses, grads = model.loss_and_grads(batch, weights, workspace)
+            losses, grads = model.loss_and_grads(batch, weights, optimizer.slots)
             if math.isnan(losses["total"]):
                 raise DivergenceError("training loss is NaN")
             optimizer.step(grads)
