@@ -118,6 +118,9 @@ class Batch:
     gen_in: np.ndarray    # (B, T) generator inputs starting at [BOS]
     gen_out: np.ndarray   # (B, T) generator targets ending at [EOS]
     gen_mask: np.ndarray  # (B, T) True at supervised generator steps
+    # (rows, category rows, generator tokens) of the whole batch this one is
+    # a shard of, which divide its losses; None for a batch of its own
+    divisors: tuple[int, int, int] | None = None
 
     @property
     def size(self) -> int:
@@ -554,9 +557,9 @@ class Model:
         h0_pre = h_c @ self.params["generator/h0"]
         return np.tanh(h0_pre), h0_pre
 
-    def _gen_forward(self, h_c, gen_in, gen_out, gen_mask):
+    def _gen_forward(self, h_c, gen_in, gen_out, gen_mask, n_tok):
+        """The generator's token loss summed and divided by n_tok."""
         p = self.params
-        n_tok = int(gen_mask.sum())
         h, c = self._lstm_start(h_c)
         h0 = h
         ones = np.ones(h_c.shape[0], dtype=h_c.dtype)
@@ -572,13 +575,12 @@ class Model:
             loss += step_loss[live].sum()
             dlogits[~live] = 0.0
             steps.append((x, h_prev, c_prev, gates, dlogits, h))
-        loss = loss / n_tok if n_tok else 0.0
-        return loss, (h_c, h0, steps, n_tok)
+        return float(loss) / n_tok, (h_c, h0, steps, n_tok)
 
     def _gen_backward(self, cache, gen_in, grads):
         p = self.params
         h_c, h0, steps, n_tok = cache
-        factor = 1.0 / n_tok if n_tok else 0.0
+        factor = 1.0 / n_tok
         dh_next = np.zeros((h_c.shape[0], GENERATOR_HIDDEN), dtype=h_c.dtype)
         dc_next = np.zeros_like(dh_next)
         d_inputs = []  # each step's input-embedding gradient, last step first
@@ -615,35 +617,38 @@ class Model:
     # ------------------------------------------------------------------ losses
 
     def _run(self, batch: Batch, weights, want_grads: bool, slots=None):
-        b = batch.size
         h_c, enc_cache = self._encode_batch(batch.ids, batch.mask, keep_cache=want_grads)
         weights = np.asarray(weights, dtype=h_c.dtype)
+        cat_rows = np.flatnonzero(batch.cat_ids >= 0)
+        gen_rows = np.flatnonzero(batch.gen_mask.any(axis=1))
+        # each loss is a sum over the batch divided by a count of the whole
+        # batch, so the losses and gradients of a batch's shards add up to its own
+        n_rows, n_cat, n_tok = batch.divisors or (
+            batch.size, cat_rows.size, int(batch.gen_mask.sum()))
 
         det_logits, det_cache = self._mlp_forward("detect", h_c)
         det_rows, det_grad = _cross_entropy(
             det_logits, batch.labels, weights[batch.labels]
         )
-        det_loss = float(det_rows.mean())
+        det_loss = float(det_rows.sum()) / n_rows
 
-        cat_rows = np.flatnonzero(batch.cat_ids >= 0)
         if cat_rows.size:
             cat_logits, cat_cache = self._mlp_forward("category", h_c[cat_rows])
             cat_row_loss, cat_grad = _cross_entropy(
                 cat_logits, batch.cat_ids[cat_rows], np.ones(cat_rows.size, dtype=h_c.dtype)
             )
-            cat_loss = float(cat_row_loss.mean())
+            cat_loss = float(cat_row_loss.sum()) / n_cat
         else:
             cat_loss = 0.0
 
-        gen_rows = np.flatnonzero(batch.gen_mask.any(axis=1))
         if gen_rows.size:
             gen_loss, gen_cache = self._gen_forward(
                 h_c[gen_rows],
                 batch.gen_in[gen_rows],
                 batch.gen_out[gen_rows],
                 batch.gen_mask[gen_rows],
+                n_tok,
             )
-            gen_loss = float(gen_loss)
         else:
             gen_loss = 0.0
 
@@ -660,11 +665,11 @@ class Model:
         dh_c = np.zeros_like(h_c)
 
         # each head's mean: times 1/n, which can differ from / n in the last bit
-        det_grad *= 1.0 / b
+        det_grad *= 1.0 / n_rows
         dh_c += self._mlp_backward("detect", det_grad, det_cache, grads)
 
         if cat_rows.size:
-            cat_grad *= 1.0 / cat_rows.size
+            cat_grad *= 1.0 / n_cat
             dh_c[cat_rows] += self._mlp_backward("category", cat_grad, cat_cache, grads)
 
         if gen_rows.size:

@@ -18,7 +18,19 @@ model's parameters are views of. Only the backward products, by
 transposed weights, may round differently from the stacked products they
 replaced; every forward pass and every Adam update keeps its bits.
 
-Each step writes its gradients straight into Adam's gradient slots, and
+Every step splits its batch into two fixed shards (`shards`): the first
+ceil(n / 2) rows and the rest. Each shard's losses are divided by the
+counts of the whole batch (`make_batch(rows, whole)`), so the two shards'
+losses and gradients add up to the batch's, and Adam steps once on their
+sum. A sum of two terms does not depend on their order, so the trained
+bits do not depend on where the shards ran. `train` runs the second shard
+on a forked worker (`workers.Helper`) while it runs the first, once there
+are TRAIN_MIN_STEPS steps: Adam's parameters and the second shard's
+gradients live in shared memory, only the batch's row indices go to the
+worker and its four losses come back. Without the worker, on one CPU or
+after it died, `train` runs the second shard itself.
+
+Each step writes its gradients straight into gradient slots, and
 allocates every other array afresh. So that the next step reuses that
 memory rather than faulting new pages in, `train` first asks glibc's
 allocator to keep what a process frees (`keep_freed_memory`).
@@ -27,11 +39,14 @@ allocator to keep what a process frees (`keep_freed_memory`).
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+import mmap
+import struct
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..synthdata import LabeledSample
+from ..workers import Helper
 from .network import (
     Batch,
     CATEGORIES,
@@ -67,6 +82,11 @@ class EpochLoss:
     category: float
 
 
+# EpochLoss's fields, in the order a step's losses are kept and sent
+LOSSES = tuple(f.name for f in fields(EpochLoss))
+_FLOATS = f"<{len(LOSSES)}d"
+
+
 @dataclass
 class TrainResult:
     model: Model
@@ -84,6 +104,10 @@ ADAM_CHUNK = 65536
 # 32 MiB, the 64-bit maximum, come from the heap, which keeps up to 1 GiB
 # of free memory at its top instead of handing it back to the kernel
 KEEP_FREED = ((-3, 32 << 20), (-1, 1 << 30))
+# `train` forks a worker for the second shard of each step from this many
+# steps on: at protocol shapes a fork paid for itself from about 6 steps,
+# and smaller models gain less per step
+TRAIN_MIN_STEPS = 16
 
 
 def _mallopt():
@@ -113,7 +137,9 @@ class Adam:
 
     The parameters, both moments and the gradients live in flat buffers;
     the constructor copies the parameters in and makes each `params[name]`
-    a view of its slot, so a model's `params` train in place. `step` runs
+    a view of its slot, so a model's `params` train in place. The
+    parameters' buffer is shared memory (`shared_array`), so a worker
+    forked afterwards reads them as they train. `step` runs
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
@@ -125,19 +151,28 @@ class Adam:
     def __init__(self, params, lr):
         self.lr = float(lr)
         self.t = 0
-        self.params = np.concatenate([params[name].reshape(-1) for name in params])
+        self.shapes = {name: tensor.shape for name, tensor in params.items()}
+        flat = np.concatenate([params[name].reshape(-1) for name in params])
+        self.params = shared_array(flat.size, flat.dtype)
+        self.params[...] = flat
         self.grads = np.empty_like(self.params)
-        self.slots = {}  # name -> the parameter's view of self.grads
+        self.slots = self.views(self.grads)  # name -> the parameter's view of self.grads
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         scratch = min(self.params.size, ADAM_CHUNK)
         self._scratch = (np.empty(scratch, self.params.dtype), np.empty(scratch, self.params.dtype))
+        params.update(self.views(self.params))
+
+    def views(self, flat):
+        """name -> the view of a flat array shaped like `params` that holds
+        the parameter's elements: `views(grads)` are the gradient slots."""
+        views = {}
         start = 0
-        for name, tensor in params.items():
-            stop = start + tensor.size
-            params[name] = self.params[start:stop].reshape(tensor.shape)
-            self.slots[name] = self.grads[start:stop].reshape(tensor.shape)
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
             start = stop
+        return views
 
     def step(self, grads):
         """One update from `grads`, which holds a gradient for every
@@ -169,6 +204,13 @@ class Adam:
             p -= b
 
 
+def shared_array(size: int, dtype) -> np.ndarray:
+    """A zeroed flat array in an anonymous shared mapping: a process forked
+    after it is made reads and writes the same memory as its parent."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype, size)
+
+
 def build_vocab(samples) -> Vocab:
     return Vocab.build((s.text for s in samples), (s.target for s in samples))
 
@@ -194,8 +236,17 @@ def epoch_batches(lengths, batch_size: int, rng) -> list[list[int]]:
     return [batches[b] for b in rng.permutation(len(batches))]
 
 
-def make_batch(rows) -> Batch:
-    """Pad encoded rows (ids, label, cat, gen_in, gen_out) into one Batch."""
+def shards(chosen):
+    """The two shards every training step splits its batch into: the first
+    ceil(n / 2) rows and the rest, whatever the CPU count."""
+    half = -(-len(chosen) // 2)
+    return chosen[:half], chosen[half:]
+
+
+def make_batch(rows, whole=None) -> Batch:
+    """Pad encoded rows (ids, label, cat, gen_in, gen_out) into one Batch;
+    with `whole`, the rows of the batch these are a shard of, whose counts
+    divide the shard's losses (`Batch.divisors`)."""
     n = len(rows)
     length = max(len(r[0]) for r in rows)
     width = max((len(r[4]) for r in rows if r[1]), default=1)
@@ -215,7 +266,12 @@ def make_batch(rows) -> Batch:
             gen_in[row, : len(g_in)] = g_in
             gen_out[row, : len(g_out)] = g_out
             gen_mask[row, : len(g_out)] = True
-    return Batch(ids, mask, labels, cat_ids, gen_in, gen_out, gen_mask)
+    divisors = None if whole is None else (
+        len(whole),
+        sum(r[2] >= 0 for r in whole),
+        sum(len(r[4]) for r in whole if r[1]),
+    )
+    return Batch(ids, mask, labels, cat_ids, gen_in, gen_out, gen_mask, divisors)
 
 
 def train(
@@ -238,20 +294,43 @@ def train(
         model_config, vocab, np.random.SeedSequence([config.rng_seed, 0])
     ).cast(np.float32)
     optimizer = Adam(model.params, config.lr)
+    # the second shard's gradients, written by the worker or by this process
+    second = shared_array(optimizer.grads.size, optimizer.grads.dtype)
+    second_slots = optimizer.views(second)
     keep_freed_memory()
     shuffle = np.random.default_rng(np.random.SeedSequence([config.rng_seed, 1]))
 
+    def shard_losses(chosen, k, slots):
+        """Loss and gradients (to `slots`) of shard k of the batch `chosen`."""
+        whole = [rows[i] for i in chosen]
+        batch = make_batch(shards(whole)[k], whole)
+        losses, _ = model.loss_and_grads(batch, weights, slots)
+        return [losses[key] for key in LOSSES]
+
+    def second_shard(request: bytes) -> bytes:
+        """The worker's part of a step: for the batch's row indices (int64
+        bytes), the second shard's gradients in `second` and its losses."""
+        chosen = np.frombuffer(request, np.int64).tolist()
+        return struct.pack(_FLOATS, *shard_losses(chosen, 1, second_slots))
+
     loss_log: list[EpochLoss] = []
     n = len(rows)
-    for _ in range(config.epochs):
-        sums = {"total": 0.0, "detection": 0.0, "generation": 0.0, "category": 0.0}
-        for chosen in epoch_batches(lengths, config.batch_size, shuffle):
-            batch = make_batch([rows[i] for i in chosen])
-            losses, grads = model.loss_and_grads(batch, weights, optimizer.slots)
-            if math.isnan(losses["total"]):
-                raise DivergenceError("training loss is NaN")
-            optimizer.step(grads)
-            for key in sums:
-                sums[key] += losses[key] * len(chosen)
-        loss_log.append(EpochLoss(**{k: v / n for k, v in sums.items()}))
+    steps = config.epochs * -(-n // config.batch_size)
+    with Helper(second_shard, steps, TRAIN_MIN_STEPS) as helper:
+        for _ in range(config.epochs):
+            sums = [0.0] * len(LOSSES)
+            for chosen in epoch_batches(lengths, config.batch_size, shuffle):
+                split = len(chosen) > 1  # a one-row batch has no second shard
+                if split:
+                    helper.submit(np.array(chosen, np.int64).tobytes())
+                losses = shard_losses(chosen, 0, optimizer.slots)
+                if split:
+                    more = struct.unpack(_FLOATS, helper.result())
+                    losses = [a + b for a, b in zip(losses, more)]
+                    optimizer.grads += second
+                if math.isnan(losses[0]):
+                    raise DivergenceError("training loss is NaN")
+                optimizer.step(optimizer.slots)
+                sums = [total + loss * len(chosen) for total, loss in zip(sums, losses)]
+            loss_log.append(EpochLoss(*(total / n for total in sums)))
     return TrainResult(model=model.cast(np.float64), loss_log=loss_log)

@@ -1,4 +1,5 @@
-"""An ordered map that spreads its items over forked worker processes.
+"""Forked worker processes: an ordered map over items, and a helper that
+answers one request at a time.
 
 `ordered_map(fn, items, min_per_worker)` returns `[fn(item) for item in
 items]`, the same list the serial loop gives, but computes it with one
@@ -25,6 +26,15 @@ is lost, and an item whose result is missing (it raised, or its worker
 died) is run again in the parent, in index order, after every worker has
 been reaped. So an error is raised by the parent's own call, the same
 exception the serial loop raises first.
+
+`Helper(fn, calls, min_calls)` forks one worker, pinned off the parent's
+CPU, that computes `fn(request)` for each request the parent submits while
+the parent does work of its own; training runs the second shard of each
+step there. Requests and replies are bytes, each sent with its length
+through a pipe of its own. A helper forks under the map's guards, plus a
+second CPU and `calls >= min_calls`; without its worker, or after the
+worker died, `result()` runs `fn` in the parent, so a reply never depends
+on where it was computed.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import sys
 # for, and each block costs a read from the claims pipe.
 BLOCKS_PER_WORKER = 32
 _CLAIM_BYTES = 4
+_LENGTH_BYTES = 4  # the length before each message of a `Helper`
 _MISSING = object()
 
 
@@ -75,13 +86,15 @@ def _single_threaded() -> bool:
         return False
 
 
+def _may_fork() -> bool:
+    return sys.platform.startswith("linux") and _single_threaded()
+
+
 def worker_count(n_items: int, min_per_worker: int) -> int:
     """Processes `ordered_map` would use, the parent included: one per CPU
     this process may run on, at most one per `min_per_worker` items, and 1
     unless this is a single-threaded process on Linux."""
-    if n_items < 2 * min_per_worker or not sys.platform.startswith("linux"):
-        return 1
-    if not _single_threaded():
+    if n_items < 2 * min_per_worker or not _may_fork():
         return 1
     return max(1, min(_cpus(), n_items // min_per_worker))
 
@@ -95,6 +108,12 @@ def _work(fn, items, size: int, claims_fd: int, done: list) -> None:
         done.append((start, results))
         for index in range(start, min(start + size, len(items))):
             results.append(fn(items[index]))
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _serve(fn, items, size: int, claims_fd: int, pipe_fd: int,
@@ -111,9 +130,7 @@ def _serve(fn, items, size: int, claims_fd: int, pipe_fd: int,
             _work(fn, items, size, claims_fd, done)
         except Exception:
             pass  # the parent runs this item again and raises its error in order
-        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
-        while data:
-            data = data[os.write(pipe_fd, data):]
+        _write_all(pipe_fd, pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)
@@ -186,3 +203,117 @@ def ordered_map(fn, items, min_per_worker: int) -> list:
         if result is _MISSING:
             results[index] = fn(items[index])
     return results
+
+
+def _read_exact(fd: int, n: int) -> bytes | None:
+    """n bytes from fd, or None at the end of the stream before them."""
+    parts = []
+    while n:
+        part = os.read(fd, n)
+        if not part:
+            return None
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
+def _frame(data: bytes) -> bytes:
+    return len(data).to_bytes(_LENGTH_BYTES, "little") + data
+
+
+def _read_frame(fd: int) -> bytes | None:
+    header = _read_exact(fd, _LENGTH_BYTES)
+    return None if header is None else _read_exact(fd, int.from_bytes(header, "little"))
+
+
+def _answer(fn, requests_fd: int, replies_fd: int, unused_fds: list,
+            parent_cpu: int | None) -> None:
+    """The helper's whole life after the fork: `fn` of each request until
+    the parent closes the requests pipe. It never returns."""
+    status = 1
+    try:
+        for fd in unused_fds:
+            os.close(fd)
+        _place(1, parent_cpu)
+        while (request := _read_frame(requests_fd)) is not None:
+            _write_all(replies_fd, _frame(fn(request)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class Helper:
+    """`fn(request)`, bytes to bytes, computed by one forked worker while
+    the parent goes on, or by the parent itself.
+
+    `submit(request)` hands a request over, and `result()` returns
+    `fn(request)`: the worker's reply if it has one, else the parent's own
+    call. Requests go one at a time, each answered before the next. The
+    worker starts with the parent's memory at construction; `fn` must
+    depend on what it shares with the parent (say, a shared `mmap`) and on
+    its request alone, so that either process gives the same reply. It
+    forks with the guards of `ordered_map` (Linux, a single-threaded
+    process, a second CPU in the affinity set, the worker pinned off the
+    parent's CPU) and only for `calls >= min_calls`. Once the worker dies,
+    every call runs in the parent. Use it as a context manager: the worker
+    is reaped on exit, and killed first if the block raised.
+    """
+
+    def __init__(self, fn, calls: int, min_calls: int):
+        self.fn = fn
+        self.pid = None
+        self._request = None
+        self._sent = False
+        if calls < min_calls or not _may_fork() or _cpus() < 2:
+            return
+        requests_fd, self._requests = os.pipe()
+        self._replies, replies_fd = os.pipe()
+        parent_cpu = _current_cpu()
+        try:
+            pid = os.fork()
+        except OSError:  # no more processes: the parent answers every call
+            pid = None
+        if pid == 0:
+            _answer(fn, requests_fd, replies_fd, [self._requests, self._replies], parent_cpu)
+        os.close(requests_fd)
+        os.close(replies_fd)
+        if pid is None:
+            self._close_pipes()
+        self.pid = pid
+
+    def submit(self, request: bytes) -> None:
+        self._request = request
+        self._sent = False
+        if self.pid is not None:
+            try:
+                _write_all(self._requests, _frame(request))
+                self._sent = True
+            except OSError:  # the worker is gone
+                self._reap()
+
+    def result(self) -> bytes:
+        reply = _read_frame(self._replies) if self._sent else None
+        if reply is None:
+            self._reap()
+            reply = self.fn(self._request)
+        self._request = None
+        return reply
+
+    def _close_pipes(self) -> None:
+        os.close(self._requests)
+        os.close(self._replies)
+
+    def _reap(self, kill: bool = False) -> None:
+        if self.pid is None:
+            return
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        self._close_pipes()  # a live worker reads the end of its requests and exits
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def __enter__(self) -> "Helper":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._reap(kill=exc_type is not None)

@@ -36,7 +36,7 @@ from specsyn.model.network import (
 )
 from specsyn.model.train import (
     ADAM_CHUNK, BETA1, BETA2, EPS, KEEP_FREED, Adam, TrainConfig, _encode_sample, build_vocab,
-    epoch_batches, keep_freed_memory, make_batch, train,
+    epoch_batches, keep_freed_memory, make_batch, shards, train,
 )
 import specsyn.model.train as train_module
 from specsyn.model.vocab import (
@@ -940,7 +940,14 @@ class TestGradientSlots:
         for epoch in range(config.epochs):
             total = 0.0
             for chosen in epoch_batches(lengths, config.batch_size, shuffle):
-                losses, grads = model.loss_and_grads(make_batch([rows[i] for i in chosen]), weights)
+                # two shards, rows [:ceil(n/2)] and the rest, summed
+                whole = [rows[i] for i in chosen]
+                half = -(-len(whole) // 2)
+                losses, grads = model.loss_and_grads(make_batch(whole[:half], whole), weights)
+                if whole[half:]:
+                    more, grads_2 = model.loss_and_grads(make_batch(whole[half:], whole), weights)
+                    losses = {key: losses[key] + more[key] for key in losses}
+                    grads = {name: grads[name] + grads_2[name] for name in grads}
                 optimizer.step(grads)
                 total += losses["total"] * len(chosen)
             assert result.loss_log[epoch].total == total / len(rows)
@@ -979,6 +986,46 @@ class TestGradientSlots:
         assert got.loss_log == want.loss_log
         for name, tensor in want.model.params.items():
             assert np.array_equal(got.model.params[name], tensor), name
+
+
+class TestShards:
+    """The two shards of a batch, each divided by the whole batch's counts,
+    add up to the batch: losses and every gradient, in float64."""
+
+    # (text, label, category) of each row, and what the second shard holds
+    @pytest.mark.parametrize("case, second_is", [
+        pytest.param([(0, 1, 0), (1, 1, 2), (2, 0, -1), (3, 0, -1), (0, 1, 1)],
+                     lambda second: len(second) == 2, id="odd"),
+        pytest.param([(0, 1, 0), (1, 1, 2), (2, 0, -1), (3, 0, -1)],
+                     lambda second: not any(row[1] for row in second), id="no-positives"),
+        pytest.param([(0, 1, 0), (1, 0, -1), (1, 1, -1), (3, 0, -1)],
+                     lambda second: all(row[2] < 0 for row in second), id="no-categories"),
+        pytest.param([(1, 1, 2)], lambda second: second == [], id="one-row"),
+    ])
+    def test_shards_add_up_to_the_batch(self, vocab, case, second_is):
+        whole = [encode_row(vocab, TEXTS[t], label, cat, TARGETS[t % 2] if label else ())
+                 for t, label, cat in case]
+        first, second = shards(whole)
+        assert first + second == whole and len(first) == -(-len(whole) // 2)
+        assert second_is(second)
+        model = Model.initialize(TWO_BLOCKS, vocab, rng_seed=7)
+        weights = detection_weights([1, 0])
+        want_losses, want_grads = model.loss_and_grads(make_batch(whole), weights)
+        losses = dict.fromkeys(want_losses, 0.0)
+        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+        for shard in (first, second):
+            if shard:
+                shard_losses, shard_grads = model.loss_and_grads(make_batch(shard, whole), weights)
+                for key in losses:
+                    losses[key] += shard_losses[key]
+                for name in grads:
+                    grads[name] += shard_grads[name]
+        for key, want in want_losses.items():
+            assert losses[key] == pytest.approx(want, rel=1e-12, abs=1e-15), key
+        for name, want in want_grads.items():
+            scale = float(np.abs(want).max())
+            np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-12 * scale,
+                                       err_msg=name)
 
 
 class TestCheckpoint:

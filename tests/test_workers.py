@@ -18,8 +18,11 @@ from pathlib import Path
 import pytest
 
 from conftest import child_env
+import specsyn.model.train as train_module
 from specsyn import cli, synthdata, workers
 from specsyn import eval as eval_module
+from specsyn.model.network import DivergenceError, Model
+from specsyn.model.train import Adam
 from specsyn.synthdata import NegativeTemplate, SeedLibrary, TemplateError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +56,7 @@ def processes(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(synthdata, "COMPOSE_MIN_PER_WORKER", 1)
     monkeypatch.setattr(eval_module, "ENCODE_MIN_PER_WORKER", 1)
+    monkeypatch.setattr(train_module, "TRAIN_MIN_STEPS", 1)
     use.forks = forks
     return use
 
@@ -292,6 +296,90 @@ class TestCommandsAtEveryWorkerCount:
             assert status == 2
             assert err == "specsyn: negative glued: no keyword in output\n"
             no_child_left()
+
+
+class TestTrainShards:
+    """`train` runs each step's second shard on a forked worker, or itself
+    on one CPU: the same checkpoint and loss log either way, and no worker
+    outlives the call."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("shards") / "train.jsonl"
+        dataset = synthdata.build_dataset(
+            synthdata.default_library(), synthdata.default_distractors(), 300, rng_seed=4)
+        synthdata.save_dataset(path, dataset.train)
+        return path
+
+    def train(self, data, out: Path) -> tuple[bytes, bytes]:
+        out.mkdir()
+        assert cli.main(["train", "--data", str(data), "--epochs", "3", "--d-model", "16",
+                         "--batch-size", "24", "--seed", "5", "--out", str(out / "m.spsy"),
+                         "--log", str(out / "loss.csv")]) == 0
+        return (out / "m.spsy").read_bytes(), (out / "loss.csv").read_bytes()
+
+    def test_the_worker_does_not_change_a_bit(self, processes, data, tmp_path):
+        processes(1)
+        serial = self.train(data, tmp_path / "serial")
+        assert processes.forks == []
+        processes(2)
+        assert self.train(data, tmp_path / "worker") == serial
+        assert len(processes.forks) == 1
+        no_child_left()
+
+    def test_a_killed_worker_is_made_up_for(self, processes, data, tmp_path, monkeypatch):
+        processes(1)
+        serial = self.train(data, tmp_path / "serial")
+        parent, calls = os.getpid(), []
+        real = Model.loss_and_grads
+
+        def loss_and_grads(model, batch, weights, slots=None):
+            # the parent's fourth first shard: the worker is on its second one
+            if os.getpid() == parent:
+                calls.append(None)
+                if len(calls) == 4:
+                    os.kill(processes.forks[0], signal.SIGKILL)
+            return real(model, batch, weights, slots)
+
+        monkeypatch.setattr(Model, "loss_and_grads", loss_and_grads)
+        processes(2)
+        assert self.train(data, tmp_path / "killed") == serial
+        assert len(processes.forks) == 1 and len(calls) > 8
+        no_child_left()
+
+    def test_divergence_reaps_the_worker(self, processes, data, tmp_path, monkeypatch):
+        parent, calls = os.getpid(), []
+        real = Model.loss_and_grads
+
+        def poisoned(model, batch, weights, slots=None):
+            losses, grads = real(model, batch, weights, slots)
+            calls.append(None)
+            if os.getpid() == parent and len(calls) == 5:
+                losses = {**losses, "total": float("nan")}
+            return losses, grads
+
+        monkeypatch.setattr(Model, "loss_and_grads", poisoned)
+        processes(2)
+        with pytest.raises(DivergenceError):
+            train_module.train(synthdata.load_dataset(data))
+        assert len(processes.forks) == 1
+        no_child_left()
+
+    def test_an_interrupt_reaps_the_worker(self, processes, data, monkeypatch):
+        real_step, steps = Adam.step, []
+
+        def step(optimizer, grads):
+            steps.append(None)
+            if len(steps) == 3:
+                raise KeyboardInterrupt
+            real_step(optimizer, grads)
+
+        monkeypatch.setattr(Adam, "step", step)
+        processes(2)
+        with pytest.raises(KeyboardInterrupt):
+            train_module.train(synthdata.load_dataset(data))
+        assert len(processes.forks) == 1
+        no_child_left()
 
 
 def test_training_does_not_depend_on_the_blas_environment(tmp_path):
