@@ -208,17 +208,24 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     """Detect, then generate and detag, for each (text, tags) item: the one
     inference path that `evaluate` and `synthesize` share. It runs on a
     float32 copy of the model, which leaves the caller's parameters as they
-    are. Texts of similar token length are encoded together, every pooled
-    vector of the call is detected at once, and flagged rows are decoded
-    together (see `encode_plan` and `Model.generate_batch`). The encoder
-    calls of the plan go through `workers.ordered_map`, spread over the CPUs
-    this process may use once there are ENCODE_MIN_PER_WORKER calls per
-    worker; detection and decoding run in this process over the pooled
-    vectors in plan order, so the results do not depend on the worker count.
-    Every text must fit the model's max_len with [CLS]; `check_lengths`
-    names the first that does not."""
-    sequences = [[CLS_ID] + model.vocab.encode(text) for text, _ in items]
-    check_lengths(map(len, sequences), model.config.max_len)
+    are. Each distinct id sequence is one row: it is encoded and detected
+    once, and greedy-decoded once per distinct set of tag ids among its
+    items, since those fix which tags the decoder may emit. Each item gets
+    its row's detection and tokens, and is detagged with its own surfaces.
+    Rows of similar token length are encoded together, every pooled vector
+    of the call is detected at once, and flagged rows are decoded together
+    (see `encode_plan` and `Model.generate_batch`). The encoder calls of the
+    plan go through `workers.ordered_map`, spread over the CPUs this process
+    may use once there are ENCODE_MIN_PER_WORKER calls per worker; detection
+    and decoding run in this process over the pooled vectors in plan order,
+    so the results do not depend on the worker count. Every text must fit
+    the model's max_len with [CLS]; `check_lengths` names the first item
+    that does not."""
+    ids_of = {text: (CLS_ID, *model.vocab.encode(text)) for text in {text for text, _ in items}}
+    row_of: dict[tuple, int] = {}  # each distinct id sequence -> its row
+    item_rows = [row_of.setdefault(ids_of[text], len(row_of)) for text, _ in items]
+    sequences = list(row_of)
+    check_lengths((len(sequences[row]) for row in item_rows), model.config.max_len)
     # a float32-trained model casts to float32 exactly, and the encoder's
     # elementwise kernels run several times as fast in it as in float64
     model = model.cast(np.float32)
@@ -229,18 +236,22 @@ def infer_batch(model, items: list[tuple[str, dict]]) -> list[Inference]:
     order = [row for rows in plan for row in rows]  # rows in encoder order
     pooled = np.concatenate(ordered_map(
         functools.partial(model.encode_rows, sequences), plan, ENCODE_MIN_PER_WORKER))
-    hits = [i for i, probs in enumerate(model.detect(pooled)) if predicted_label(probs)]
-    if not hits:
+    # each flagged row's index into pooled
+    flagged = {order[i]: i for i, probs in enumerate(model.detect(pooled)) if predicted_label(probs)}
+    decodes: dict[tuple, list[int]] = {}  # (pooled index, tag ids) -> its items
+    for item, ((_, tags), row) in enumerate(zip(items, item_rows)):
+        if row in flagged:
+            decodes.setdefault((flagged[row], frozenset(tags)), []).append(item)
+    if not decodes:
         return results
-    flagged = [order[i] for i in hits]
-    tag_maps = [items[row][1] for row in flagged]
-    for row, tags, generated in zip(
-        flagged, tag_maps, model.generate_batch(pooled[hits], tag_maps)
-    ):
-        try:
-            results[row] = Inference(True, generated.tokens, rule=detag(generated.tokens, tags))
-        except (NonParsingOutput, UnknownTagError) as exc:
-            results[row] = Inference(True, generated.tokens, failure=str(exc))
+    generated = model.generate_batch(
+        pooled[[i for i, _ in decodes]], [items[members[0]][1] for members in decodes.values()])
+    for members, tokens in zip(decodes.values(), (g.tokens for g in generated)):
+        for item in members:
+            try:
+                results[item] = Inference(True, tokens, rule=detag(tokens, items[item][1]))
+            except (NonParsingOutput, UnknownTagError) as exc:
+                results[item] = Inference(True, tokens, failure=str(exc))
     return results
 
 
@@ -285,6 +296,11 @@ def gold_spec(sample) -> Specification | None:
 
 
 def collect_outcomes(model, samples) -> list[SampleOutcome]:
+    """One outcome per sample, from one `infer_batch` call. A flagged
+    positive whose generated tokens equal its target tokens takes its
+    prediction as its gold spec, since the same tokens detagged with the
+    same tag map give the same spec; `gold_spec` runs for the other
+    positives."""
     samples = list(samples)
     results = infer_batch(model, [(sample.text, sample.tags) for sample in samples])
     outcomes = []
@@ -293,13 +309,17 @@ def collect_outcomes(model, samples) -> list[SampleOutcome]:
         if result.failure is not None:
             # flagged but not reconstructable; kept as a raw mismatch
             got = " ".join(result.tokens)
+        if sample.label and result.rule is not None and result.tokens == sample.target:
+            expected = result.rule
+        else:
+            expected = gold_spec(sample)
         outcomes.append(SampleOutcome(
             index=i,
             label=bool(sample.label),
             flagged=result.flagged,
             type=sample.type,
             category=sample.category,
-            expected=gold_spec(sample),
+            expected=expected,
             got=got,
         ))
     return outcomes

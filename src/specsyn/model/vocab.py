@@ -9,7 +9,7 @@ is deterministic.
 import re
 from collections.abc import Iterable, Sequence
 
-from ..tagger import TAG_SLOTS, TAG_TOKEN_RE, TagClass
+from ..tagger import RESERVED_TAG_CLASSES, TAG_TOKEN_RE
 
 
 class ModelError(Exception):
@@ -21,10 +21,7 @@ PAD_ID, UNK_ID, CLS_ID, BOS_ID, EOS_ID = 0, 1, 2, 3, 4
 
 
 def reserved_tokens() -> tuple[str, ...]:
-    tags = tuple(
-        f"<{cls.value}{i}>" for cls in TagClass for i in range(1, TAG_SLOTS + 1)
-    )
-    return (PAD, UNK, CLS, BOS, EOS) + tags
+    return (PAD, UNK, CLS, BOS, EOS) + tuple(RESERVED_TAG_CLASSES)
 
 
 # tag id ("keyword1") -> the fixed id of its reserved token ("<keyword1>")
@@ -57,11 +54,11 @@ class Vocab:
         reserved = reserved_tokens()
         if tokens[: len(reserved)] != reserved:
             raise ModelError("vocabulary must begin with the reserved token table")
-        ids: dict[str, int] = {}
-        for i, token in enumerate(tokens):
-            if token in ids:
-                raise ModelError(f"duplicate token {token!r}")
-            ids[token] = i
+        ids = dict(zip(tokens, range(len(tokens))))
+        if len(ids) != len(tokens):
+            seen: set[str] = set()
+            duplicate = next(t for t in tokens if t in seen or seen.add(t))
+            raise ModelError(f"duplicate token {duplicate!r}")
         self._tokens = tokens
         self._ids = ids
 
@@ -96,4 +93,5 @@ class Vocab:
         return self._ids.get(token, UNK_ID)
 
     def encode(self, text: str) -> list[int]:
-        return [self.id_of(tok) for tok in tokenize(text)]
+        ids = self._ids
+        return [ids.get(tok, UNK_ID) for tok in tokenize(text)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
@@ -527,27 +528,40 @@ def sample_to_dict(sample: LabeledSample) -> dict:
 
 
 def _strings(values) -> bool:
-    return all(isinstance(v, str) for v in values)
+    return all(map(isinstance, values, repeat(str)))
+
+
+# each member by its value: a lookup here costs a tenth of an enum call, and
+# a value that names no member goes to the enum call for its message
+_CATEGORIES = {category.value: category for category in Category}
+_TYPES = {kind.value: kind for kind in ExtractionType}
+
+
+def _member(enum_type, members: dict, value):
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum_type(value)
 
 
 def sample_from_dict(record: dict) -> LabeledSample:
-    text, tags, label, target = (record[k] for k in ("text", "tags", "label", "target"))
-    for ok, problem in (
-        (isinstance(text, str), "'text' must be a string"),
-        (isinstance(tags, dict) and _strings(tags) and _strings(tags.values()),
-         "'tags' must map strings to strings"),
-        (isinstance(target, list) and _strings(target), "'target' must be a list of strings"),
-        (isinstance(label, int) and label in (0, 1), "'label' must be 0, 1 or a bool"),
-    ):
-        if not ok:
-            raise TypeError(f"field {problem}")
+    text, tags, label, target = record["text"], record["tags"], record["label"], record["target"]
+    if not isinstance(text, str):
+        raise TypeError("field 'text' must be a string")
+    if not (isinstance(tags, dict) and _strings(tags) and _strings(tags.values())):
+        raise TypeError("field 'tags' must map strings to strings")
+    if not (isinstance(target, list) and _strings(target)):
+        raise TypeError("field 'target' must be a list of strings")
+    if not (isinstance(label, int) and label in (0, 1)):
+        raise TypeError("field 'label' must be 0, 1 or a bool")
+    category = record.get("category")
     return LabeledSample(
         text,
         dict(tags),
         bool(label),
         tuple(target),
-        Category(record["category"]) if record.get("category") else None,
-        ExtractionType(record["type"]),
+        _member(Category, _CATEGORIES, category) if category else None,
+        _member(ExtractionType, _TYPES, record["type"]),
     )
 
 

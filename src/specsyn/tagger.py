@@ -192,6 +192,14 @@ def tag_text(text: str, keywords: KeywordSet, lexicons: Lexicons) -> TaggedCandi
     return TaggedCandidate("".join(out), tags)
 
 
+# the tag tokens the model reserves, slots 1..TAG_SLOTS of each class in
+# class order, each with its class ("<num1>" -> NUM); `detag` looks a token
+# up here before it tries TAG_TOKEN_RE
+RESERVED_TAG_CLASSES = {
+    f"<{cls.value}{slot}>": cls for cls in TagClass for slot in range(1, TAG_SLOTS + 1)
+}
+
+
 def tag_class_of(tag_id: str) -> TagClass:
     m = TAG_ID_RE.fullmatch(tag_id)
     if m is None:
@@ -241,13 +249,16 @@ def detag(tokens, tags: dict) -> dsl.Specification:
     """
     substituted = []
     for token in tokens:
-        if TAG_TOKEN_RE.fullmatch(token):
-            tag_id = token[1:-1]
-            if tag_id not in tags:
-                raise UnknownTagError(f"tag {token} has no surface in the tag map")
-            substituted.append(spec_token(tag_class_of(tag_id), tags[tag_id]))
-        else:
+        cls = RESERVED_TAG_CLASSES.get(token)
+        if cls is None and token.startswith("<") and (m := TAG_TOKEN_RE.fullmatch(token)):
+            cls = TagClass(m.group(1))  # a tag past the reserved slots
+        if cls is None:
             substituted.append(token)
+            continue
+        tag_id = token[1:-1]
+        if tag_id not in tags:
+            raise UnknownTagError(f"tag {token} has no surface in the tag map")
+        substituted.append(spec_token(cls, tags[tag_id]))
     text = render_tokens(substituted)
     try:
         return dsl.parse_spec(text)

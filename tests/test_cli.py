@@ -578,6 +578,14 @@ BAD_INPUTS = {
         {"data.jsonl": NUMBER_TEXT + SAMPLE}, TRAIN, {},
         "data.jsonl:1: field 'text' must be a string",
     ),
+    "text and label both bad": (
+        {"data.jsonl": SAMPLE + NUMBER_TEXT.replace(b'"label": 0', b'"label": 2')}, TRAIN, {},
+        "data.jsonl:2: field 'text' must be a string",
+    ),
+    "bad record after blank lines": (
+        {"data.jsonl": SAMPLE + b"\n  \n" + SAMPLE + b"\n" + NO_TAGS}, TRAIN, {},
+        "data.jsonl:6: missing field 'tags'",
+    ),
     "bad JSON on line 2": (
         {"data.jsonl": SAMPLE + b'{"text": \n'}, TRAIN, {}, "data.jsonl:2: not JSON",
     ),

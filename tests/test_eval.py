@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -357,6 +358,12 @@ class TestModelEvaluation:
 
     def test_evaluate_parses_each_rule_once(self, trained, monkeypatch):
         model, samples = trained
+        # a positive whose output is not its target, so that its gold spec
+        # needs a detag of its own
+        samples = samples + [replace(samples[0], target=("<keyword1>", "<", "<num1>"))]
+        results = [infer_oracle.infer(model, s.text, s.tags) for s in samples]
+        off_target = sum(s.label and r.tokens != s.target for s, r in zip(samples, results))
+        assert off_target == 1
         detagged = counting(monkeypatch, eval_module, "detag")
         parsed = counting(monkeypatch, dsl, "parse_spec")
         real_report = eval_module.report_from_outcomes
@@ -372,8 +379,10 @@ class TestModelEvaluation:
         report = evaluate(model, samples)
         positives = sum(sample.label for sample in samples)
         flagged = report.confusion.tp + report.confusion.fp
-        # one detag for each gold target and each generated sequence
-        assert len(detagged) == positives + flagged
+        assert flagged == sum(r.flagged for r in results) and positives > off_target
+        # one detag for each generated sequence and for each gold target
+        # that the output did not spell
+        assert len(detagged) == flagged + off_target
         assert len(parsed) == len(detagged)
         assert parsed_in_report == [0]
 
@@ -404,6 +413,36 @@ class TestModelEvaluation:
             evaluate(model, [sample])
         with pytest.raises(SequenceTooLong):  # from inside a batch of fitting texts
             evaluate(model, [short, sample, short])
+
+    def test_collect_outcomes_equals_outcomes_with_gold_spec(self, trained):
+        model, samples = trained
+        # positives whose output is not their target
+        samples = samples + [
+            replace(sample, target=target)
+            for sample, target in zip([s for s in samples if s.label], (
+                ("<keyword1>", "<", "<num1>"),
+                ("use", "(", "<keyword1>", ")"),
+                ("<keyword1>", ">", "<num1>", "and", "<keyword1>", "<", "<num1>"),
+            ))
+        ]
+        # outputs that do not parse, from an untrained generator
+        untrained = Model.initialize(model.config, model.vocab, rng_seed=1)
+        untrained.params["detect/b3"][:] = (-50.0, 50.0)
+        got = {}
+        for name, m in (("trained", model), ("untrained", untrained)):
+            results = eval_module.infer_batch(m, [(s.text, s.tags) for s in samples])
+            want = [
+                SampleOutcome(
+                    index=i, label=s.label, flagged=r.flagged, type=s.type, category=s.category,
+                    expected=gold_spec(s), got=r.rule if r.failure is None else " ".join(r.tokens),
+                )
+                for i, (s, r) in enumerate(zip(samples, results))
+            ]
+            got[name] = collect_outcomes(m, samples)
+            assert got[name] == want, name
+        assert sum(o.match is True for o in got["trained"]) == 6
+        assert sum(o.match is False for o in got["trained"]) == 3
+        assert any(isinstance(o.got, str) and o.label for o in got["untrained"])
 
     def test_gold_spec_for_negative_is_none(self):
         from specsyn.synthdata import LabeledSample
@@ -458,6 +497,11 @@ def encoder_calls(monkeypatch):
     return calls
 
 
+def distinct_rows(model, items):
+    """Each item's [CLS]-prefixed id sequence, the key of its encoder row."""
+    return [(CLS_ID, *model.vocab.encode(text)) for text, _ in items]
+
+
 def copy_model(model):
     return Model(model.config, model.vocab, {k: v.copy() for k, v in model.params.items()})
 
@@ -475,6 +519,44 @@ class TestInferBatch:
                 w.flagged, w.tokens, w.rule, w.failure), (i, items[i])
         return got
 
+    def test_repeated_texts_share_rows(self, trained, monkeypatch):
+        model, samples = trained
+        monkeypatch.setattr(network, "DECODE_ROWS", 16)  # several decode batches
+        rng = random.Random(29)
+        items = [(s.text, s.tags) for s in samples] + random_items(rng, 150)
+        for text, tags in rng.sample(items, 80):
+            other_ids = dict(tags)
+            if other_ids:
+                del other_ids[rng.choice(list(other_ids))]
+            other_ids[f"{rng.choice(list(TagClass)).value}{rng.randint(1, 3)}"] = "9"
+            items += [
+                (text, {tag_id: surface + "0" for tag_id, surface in tags.items()}),
+                (text, other_ids),
+                (text, tags),
+            ]
+        rng.shuffle(items)
+        want = [infer_oracle.infer(model, text, tags) for text, tags in items]
+        calls = encoder_calls(monkeypatch)
+        decoded = []  # the tag map of each decoded row
+        real_decode = Model._decode
+
+        def decode(self, h_c, tag_maps):
+            decoded.extend(tag_maps)
+            return real_decode(self, h_c, tag_maps)
+
+        monkeypatch.setattr(Model, "_decode", decode)
+        got = self.assert_matches_oracle(model, items, want)
+        rows = distinct_rows(model, items)
+        # each distinct id sequence reaches the encoder once
+        encoded = [tuple(ids[row, mask[row]].tolist()) for ids, mask in calls for row in range(len(ids))]
+        assert sorted(encoded) == sorted(set(rows)) and len(encoded) < len(items)
+        # and is decoded once for each set of tag ids its flagged items hold
+        pairs = {(ids, frozenset(tags)) for ids, (_, tags), r in zip(rows, items, got) if r.flagged}
+        assert len(decoded) == len(pairs) > 2 * network.DECODE_ROWS
+        assert (collections.Counter(frozenset(tags) for tags in decoded)
+                == collections.Counter(tag_ids for _, tag_ids in pairs))
+        assert sum(r.flagged for r in got) > len(pairs)
+
     def test_random_tagged_texts(self, trained, monkeypatch):
         model, samples = trained
         monkeypatch.setattr(network, "DECODE_ROWS", 16)  # several decode batches
@@ -487,10 +569,16 @@ class TestInferBatch:
 
     def test_length_group_larger_than_the_token_budget(self, trained, monkeypatch):
         model, samples = trained
-        # texts of 8 tokens after [CLS], 9 tokens each, one length group of
-        # more than ENCODE_TOKEN_BUDGET tokens
-        items = [(s.text, s.tags) for s in samples] * (ENCODE_TOKEN_BUDGET // 9 // len(samples) + 2)
-        assert {len(model.vocab.encode(text)) for text, _ in items} == {8}
+        # distinct texts of 8 tokens after [CLS], 9 tokens each, one length
+        # group of more than ENCODE_TOKEN_BUDGET tokens
+        rng = random.Random(23)
+        words = WORDS[:-1] + ("<keyword1>", "<num1>")  # none of them [UNK]
+        texts = {s.text for s in samples}
+        while len(texts) < ENCODE_TOKEN_BUDGET // 9 * 2 + 5:
+            texts.add(" ".join(rng.choice(words) for _ in range(8)))
+        items = [(text, {"keyword1": "opt1", "num1": "7"}) for text in sorted(texts)]
+        sequences = {tuple(model.vocab.encode(text)) for text, _ in items}
+        assert len(sequences) == len(items) and {len(ids) for ids in sequences} == {8}
         calls = encoder_calls(monkeypatch)
         eval_module.infer_batch(model, items)
         assert sum(ids.shape[0] for ids, _ in calls) == len(items)
@@ -525,8 +613,11 @@ class TestInferBatch:
         model, samples = trained
         items = [(s.text, s.tags) for s in samples] + random_items(random.Random(13), 300)
         want = [infer_oracle.infer(model, text, tags) for text, tags in items]
-        flagged = sum(w.flagged for w in want)
-        assert 1 < flagged < 300
+        rows = distinct_rows(model, items)
+        # one decode per distinct id sequence and set of tag ids
+        flagged = len({(ids, frozenset(tags)) for ids, (_, tags), w in zip(rows, items, want)
+                       if w.flagged})
+        assert 1 < flagged < len(set(rows)) < len(items)
         calls = encoder_calls(monkeypatch)
         decoded = []  # rows per decode batch
         real_decode = Model._decode
@@ -537,19 +628,19 @@ class TestInferBatch:
 
         monkeypatch.setattr(Model, "_decode", decode)
         for budget in (1, ENCODE_TOKEN_BUDGET, 10_000):
-            for rows in (1, 300):
+            for decode_rows in (1, 300):
                 monkeypatch.setattr(network, "ENCODE_TOKEN_BUDGET", budget)
-                monkeypatch.setattr(network, "DECODE_ROWS", rows)
+                monkeypatch.setattr(network, "DECODE_ROWS", decode_rows)
                 calls.clear()
                 decoded.clear()
                 self.assert_matches_oracle(model, items, want)
-                assert sum(ids.shape[0] for ids, _ in calls) == len(items)
+                assert sum(ids.shape[0] for ids, _ in calls) == len(set(rows))
                 assert all(ids.size <= budget or ids.shape[0] == 1 for ids, _ in calls)
                 if budget == 1:
-                    assert len(calls) == len(items)
+                    assert len(calls) == len(set(rows))
                 elif budget == 10_000:  # every row fits one call
                     assert len(calls) == 1
-                assert decoded == ([1] * flagged if rows == 1 else [flagged])
+                assert decoded == ([1] * flagged if decode_rows == 1 else [flagged])
 
     def test_one_detect_call_over_every_row(self, trained, monkeypatch):
         model, samples = trained
@@ -565,7 +656,8 @@ class TestInferBatch:
 
         monkeypatch.setattr(Model, "detect", detect)
         self.assert_matches_oracle(model, items, want)
-        assert len(calls) > 1 and detected == [len(items)]
+        rows = set(distinct_rows(model, items))
+        assert len(calls) > 1 and detected == [len(rows)] and len(rows) < len(items)
 
     def test_caller_model_stays_float64_and_unchanged(self, trained, monkeypatch):
         model, samples = trained

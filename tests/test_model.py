@@ -168,6 +168,13 @@ class TestVocab:
         with pytest.raises(ModelError):
             Vocab(tokens)
 
+    def test_duplicate_message_names_the_first_repeat(self):
+        # "b" is the first token seen a second time, though "a" came first
+        with pytest.raises(ModelError, match=r"^duplicate token 'b'$"):
+            Vocab(reserved_tokens() + ("a", "b", "b", "a"))
+        with pytest.raises(ModelError, match=r"^duplicate token '\[PAD\]'$"):
+            Vocab(reserved_tokens() + ("[PAD]",))
+
 
 class TestLosses:
     def test_uniform_binary_ce_is_ln2(self):

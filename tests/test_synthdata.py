@@ -7,6 +7,7 @@ import pytest
 from specsyn import synthdata as sd
 from specsyn.corpus import ExtractionType, KeywordSet
 from specsyn.dsl import Category, parse_spec
+from specsyn.files import InputError
 from specsyn.synthdata import (
     InsufficientSeeds,
     LabeledSample,
@@ -301,6 +302,46 @@ class TestSerialization:
                   "type": "simple", field: value}
         with pytest.raises(TypeError, match=f"^field '{field}' must "):
             sd.sample_from_dict(record)
+
+    def test_first_failing_field_is_named(self):
+        record = {"text": 5, "tags": {"num1": 3}, "label": 2, "target": [1], "type": "simple"}
+        with pytest.raises(TypeError, match="^field 'text' must be a string$"):
+            sd.sample_from_dict(record)
+        record["text"] = "x"
+        with pytest.raises(TypeError, match="^field 'tags' must map strings to strings$"):
+            sd.sample_from_dict(record)
+        record["tags"] = {}
+        with pytest.raises(TypeError, match="^field 'target' must be a list of strings$"):
+            sd.sample_from_dict(record)
+
+    @pytest.mark.parametrize("field, value, enum_type", [
+        ("category", "nope", Category),
+        ("category", [1], Category),
+        ("category", {"a": 1}, Category),
+        ("type", "nope", ExtractionType),
+        ("type", None, ExtractionType),
+        ("type", ["simple"], ExtractionType),
+    ])
+    def test_bad_enum_value_keeps_the_enum_message(self, field, value, enum_type):
+        record = {"text": "x", "tags": {}, "label": 0, "target": [], "category": None,
+                  "type": "simple", field: value}
+        with pytest.raises(ValueError) as want:
+            enum_type(value)
+        with pytest.raises(ValueError) as got:
+            sd.sample_from_dict(record)
+        assert str(got.value) == str(want.value)
+
+    def test_blank_lines_between_records(self, library, distractors, lex, tmp_path):
+        ds = build_dataset(library, distractors, 20, 0.3, rng_seed=8, n_test=0, lexicons=lex)
+        path = tmp_path / "data.jsonl"
+        sd.save_dataset(path, ds.train)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n" + "\n \t\n".join(lines) + "\n\n", encoding="utf-8")
+        assert sd.load_dataset(path) == ds.train
+        lines[7] = lines[7].replace('"type": "', '"type": "x')
+        path.write_text("\n" + "\n \t\n".join(lines) + "\n\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"data\.jsonl:16: 'x\w+' is not a valid ExtractionType$"):
+            sd.load_dataset(path)
 
     def test_bool_label_accepted(self):
         record = {"text": "x", "tags": {}, "label": False, "target": [], "type": "simple"}

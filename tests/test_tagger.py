@@ -6,8 +6,9 @@ import tag_oracle
 from conftest import run_map_serially
 from specsyn import synthdata, tagger
 from specsyn.corpus import KeywordSet
-from specsyn.dsl import parse_spec
+from specsyn.dsl import DslError, parse_spec
 from specsyn.tagger import (
+    TAG_SLOTS,
     Lexicons,
     NonParsingOutput,
     TagClass,
@@ -361,6 +362,58 @@ class TestDetag:
     def test_output_is_canonical(self):
         tags = {"keyword1": "x", "num1": "0005"}
         assert detag(["<keyword1>", "==", "<num1>"], tags) == parse_spec("x == 5")
+
+    def test_error_messages(self):
+        with pytest.raises(UnknownTagError) as err:
+            detag(["<keyword1>", ">", "<num9>"], self.T_PORT)
+        assert str(err.value) == "tag <num9> has no surface in the tag map"
+        with pytest.raises(DslError) as cause:
+            parse_spec("user_port > >")
+        with pytest.raises(NonParsingOutput) as err:
+            detag(["<keyword1>", ">", ">"], self.T_PORT)
+        assert str(err.value) == f"'user_port > >': {cause.value}"
+
+
+def reference_detag(tokens, tags):
+    """`detag` as a TAG_TOKEN_RE match and a `tag_class_of` call per token."""
+    substituted = []
+    for token in tokens:
+        if tagger.TAG_TOKEN_RE.fullmatch(token):
+            tag_id = token[1:-1]
+            if tag_id not in tags:
+                raise UnknownTagError(f"tag {token} has no surface in the tag map")
+            substituted.append(tagger.spec_token(tagger.tag_class_of(tag_id), tags[tag_id]))
+        else:
+            substituted.append(token)
+    text = render_tokens(substituted)
+    try:
+        return parse_spec(text)
+    except DslError as exc:
+        raise NonParsingOutput(f"{text!r}: {exc}") from exc
+
+
+# the 40 reserved tag tokens, tags past the reserved slots and at slot 0,
+# and tag-like tokens that are not tags
+DETAG_TOKENS = [f"<{cls.value}{slot}>" for cls in TagClass for slot in range(1, TAG_SLOTS + 1)] + [
+    "<num9>", "<keyword12>", "<num0>", "<num>", "<nums1>", "<Num1>", "<num1", "num1>", "num1", "<",
+]
+
+
+@pytest.mark.parametrize("token", DETAG_TOKENS)
+def test_detag_equals_the_pattern_reference(token):
+    def outcome(fn, tokens, tags):
+        try:
+            return fn(tokens, tags)
+        except TagError as exc:
+            return type(exc), str(exc)
+
+    tag_id = token.strip("<>")
+    for surface in ("1,024", "on", "off", "absolute path", "mb", "max_rows"):
+        for tags in ({tag_id: surface, "keyword1": "datadir"}, {"keyword1": "datadir"}):
+            for tokens in (["max_rows", "==", token], [token, "<", "5"],
+                           ["with", "(", "<keyword1>", ",", token, ")"]):
+                assert outcome(detag, tokens, tags) == outcome(reference_detag, tokens, tags), (
+                    tokens, tags)
 
 
 class TestRendering:
